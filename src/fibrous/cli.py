@@ -49,6 +49,17 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 
+def _count(text: str) -> int:
+    """Argument type for sample and instance counts."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _load_json(path: str):
     try:
         if path == "-":
@@ -369,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("input", nargs="?", help="instance file (topology for fg, spatial instance for gf)")
     s.add_argument("--mode", choices=("fg", "gf"), required=True)
     s.add_argument("--all-n", type=int, help="fg: run on every topology with this many points")
-    s.add_argument("--random", type=int, help="gf: run on this many seeded random instances")
+    s.add_argument("--random", type=_count, help="gf: run on this many seeded random instances")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--algorithm", choices=("union-closure", "brute"), default="union-closure")
     s.set_defaults(handler=_cmd_roundtrip)
@@ -380,14 +391,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sample", parents=[common], help="sampled axiom check of a lazy instance")
     s.add_argument("instance", help="one of: " + ", ".join(INSTANCE_NAMES))
-    s.add_argument("--samples", type=int, default=10000)
+    s.add_argument("--samples", type=_count, default=10000)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--witness-out", help="write a {seed, witness} replay file on failure")
     s.set_defaults(handler=_cmd_sample)
 
     s = sub.add_parser("modulus-check", parents=[common], help="sampled check of a continuity modulus")
     s.add_argument("name", help="one of: " + ", ".join(MODULUS_NAMES))
-    s.add_argument("--samples", type=int, default=10000)
+    s.add_argument("--samples", type=_count, default=10000)
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(handler=_cmd_modulus_check)
 

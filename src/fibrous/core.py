@@ -301,7 +301,7 @@ def preorder_from_json(obj) -> tuple[FinFibrousPreorder, SpatialWitness | None]:
         if key not in obj:
             raise FormatError(f'missing key "{key}"')
     nB, nA = obj["nB"], obj["nA"]
-    if not isinstance(nB, int) or not isinstance(nA, int):
+    if any(not isinstance(v, int) or isinstance(v, bool) for v in (nB, nA)):
         raise FormatError('"nB" and "nA" must be integers')
     p = _expect_int_list(obj, "p")
     rows = obj["R"]

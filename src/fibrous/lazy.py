@@ -51,16 +51,6 @@ class NeighborhoodOracle:
     point_eq: Callable = operator.eq
 
 
-def _describe(v):
-    if isinstance(v, bool) or v is None or isinstance(v, (int, str)):
-        return v
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, tuple):
-        return [_describe(c) for c in v]
-    return repr(v)
-
-
 def sample_check(
     oracle: NeighborhoodOracle,
     n_samples: int,
@@ -88,21 +78,21 @@ def sample_check(
         base = {"seed": seed, "round": rnd}
         xa = oracle.proj(a)
         if not oracle.rel(a, xa):
-            col.add("F2", base | {"a": _describe(a)})
+            col.add("F2", base | {"a": a})
         else:
             pairs = [(a, xa)]
             if not eq(y, xa) and oracle.rel(a, y):
                 pairs.append((a, y))
             for src, tgt in pairs:
                 b = oracle.delta(src, tgt)
-                wit = base | {"a": _describe(src), "y": _describe(tgt), "delta": _describe(b)}
+                wit = base | {"a": src, "y": tgt, "delta": b}
                 if not eq(oracle.proj(b), tgt):
                     col.add("F1", wit)
                 if oracle.rel(b, z) and not oracle.rel(src, z):
-                    col.add("F3", wit | {"z": _describe(z)})
+                    col.add("F3", wit | {"z": z})
         u = oracle.unit(y)
         if not eq(oracle.proj(u), y):
-            col.add("F4", base | {"y": _describe(y), "unit": _describe(u)})
+            col.add("F4", base | {"y": y, "unit": u})
         mates = [oracle.unit(xa)]
         if oracle.rel(a2, xa):
             mates.append(oracle.delta(a2, xa))
@@ -110,19 +100,48 @@ def sample_check(
             mates.append(a2)
         for mate in mates:
             c = oracle.meet(a, mate)
-            wit = base | {"a": _describe(a), "a2": _describe(mate), "meet": _describe(c)}
+            wit = base | {"a": a, "a2": mate, "meet": c}
             if not eq(oracle.proj(c), xa):
                 col.add("F5", wit)
             if oracle.rel(c, z) and not (oracle.rel(a, z) and oracle.rel(mate, z)):
-                col.add("F6", wit | {"z": _describe(z)})
+                col.add("F6", wit | {"z": z})
     return col.report()
 
 
 # ---------------------------------------------------------------------------
-# shared sampler plumbing
+# the one indexed-oracle constructor
 
-def _indexed_streams(draw_point, index_max, draw_element_point=None):
+def mk_indexed_family(
+    name: str,
+    relates: Callable,
+    refine: Callable,
+    draw_point: Callable,
+    op: Callable = operator.mul,
+    index_max: int = 4,
+    draw_element_point: Callable | None = None,
+) -> NeighborhoodOracle:
+    """Oracle from an indexed family of relations ``relates(n, x, y)``.
+
+    Elements are ``(n, x)`` pairs projecting to ``x``; the section is
+    ``(1, y)`` and the meet of two elements over one point combines their
+    indices with ``op``.  The refinement is ``(refine(n, x, y), y)``; a
+    ``refine`` that is only defined on related pairs raises ``ValueError``
+    on the others itself.  The element sampler draws indices uniformly from
+    ``1..index_max`` and points from ``draw_element_point`` (by default
+    ``draw_point``, which also feeds the point sampler).
+    """
     elem_point = draw_element_point or draw_point
+
+    def rel(a, y):
+        return relates(a[0], a[1], y)
+
+    def delta(a, y):
+        return (refine(a[0], a[1], y), y)
+
+    def meet(a, a2):
+        if a[1] != a2[1]:
+            raise ValueError("meet needs a shared point")
+        return (op(a[0], a2[0]), a[1])
 
     def point_sampler(seed):
         rng = Random(seed)
@@ -134,20 +153,16 @@ def _indexed_streams(draw_point, index_max, draw_element_point=None):
         while True:
             yield (rng.randint(1, index_max), elem_point(rng))
 
-    return point_sampler, element_sampler
-
-
-def _snd(a):
-    return a[1]
-
-
-def _same_point_meet(combine):
-    def meet(a, a2):
-        if a[1] != a2[1]:
-            raise ValueError("meet needs a shared point")
-        return (combine(a[0], a2[0]), a[1])
-
-    return meet
+    return NeighborhoodOracle(
+        name=name,
+        proj=operator.itemgetter(1),
+        rel=rel,
+        delta=delta,
+        unit=lambda y: (1, y),
+        meet=meet,
+        point_sampler=point_sampler,
+        element_sampler=element_sampler,
+    )
 
 
 def _draw_q(rng: Random, span: int = 24, den: int = 8) -> Fraction:
@@ -157,53 +172,40 @@ def _draw_q(rng: Random, span: int = 24, den: int = 8) -> Fraction:
 # ---------------------------------------------------------------------------
 # metric spaces
 
-@dataclass(frozen=True)
-class MetricSpace:
-    """Exact metric: ``distance`` must return a Fraction and satisfy the
-    usual three laws (trusted; checkable by sampling)."""
+def _ball_index(n: int, d: Fraction) -> int:
+    """Least index ``k`` with ``1/k < 1/n - d``: the refinement index of the
+    radius-``1/n`` ball at a point ``d`` away from its center, which makes
+    the triangle inequality close the F3 implication."""
+    num, den = d.numerator, d.denominator
+    if num * n >= den:
+        raise ValueError("delta is only defined on related pairs")
+    return (n * den) // (den - n * num) + 1
 
-    name: str
-    distance: Callable
-    draw_point: Callable
 
-
-def mk_metric(space: MetricSpace, index_max: int = 4) -> NeighborhoodOracle:
+def mk_metric(name: str, distance: Callable, draw_point: Callable) -> NeighborhoodOracle:
     """Oracle with neighborhoods of radius 1/n.
 
-    ``rel((n, x), y)`` iff ``d(x, y) < 1/n``; the refinement index is the
-    least integer strictly above ``n / (1 - n*d(x, y))``, which makes the
-    triangle inequality close the F3 implication.
+    ``distance`` must return a Fraction and satisfy the usual three laws
+    (trusted; checkable by sampling).  ``rel((n, x), y)`` iff
+    ``d(x, y) < 1/n``; the refinement index is :func:`_ball_index`.
     """
-    dist = space.distance
 
-    def rel(a, y):
-        n, x = a
-        d = dist(x, y)
+    def relates(n, x, y):
+        d = distance(x, y)
         return d.numerator * n < d.denominator
 
-    def delta(a, y):
-        n, x = a
-        d = dist(x, y)
-        num, den = d.numerator, d.denominator
-        if num * n >= den:
-            raise ValueError("delta is only defined on related pairs")
-        return ((n * den) // (den - n * num) + 1, y)
+    def refine(n, x, y):
+        return _ball_index(n, distance(x, y))
 
-    point_sampler, element_sampler = _indexed_streams(space.draw_point, index_max)
-    return NeighborhoodOracle(
-        name=space.name,
-        proj=_snd,
-        rel=rel,
-        delta=delta,
-        unit=lambda y: (1, y),
-        meet=_same_point_meet(operator.mul),
-        point_sampler=point_sampler,
-        element_sampler=element_sampler,
-    )
+    return mk_indexed_family(name, relates, refine, draw_point)
+
+
+def _q_distance(x, y):
+    return abs(x - y)
 
 
 def metric_q() -> NeighborhoodOracle:
-    return mk_metric(MetricSpace("metric-q", lambda x, y: abs(x - y), _draw_q))
+    return mk_metric("metric-q", _q_distance, _draw_q)
 
 
 def metric_q2() -> NeighborhoodOracle:
@@ -214,23 +216,29 @@ def metric_q2() -> NeighborhoodOracle:
     def draw(rng):
         return (_draw_q(rng, 8, 4), _draw_q(rng, 8, 4))
 
-    return mk_metric(MetricSpace("metric-q2", dist, draw))
+    return mk_metric("metric-q2", dist, draw)
+
+
+def natural_metric() -> NeighborhoodOracle:
+    """The metric-q neighborhoods read as a neighborhood base: the base
+    sets are the balls and the refinement witness is the ball index."""
+    return mk_metric("natural-metric", _q_distance, _draw_q)
+
+
+def indexed_metric() -> NeighborhoodOracle:
+    """The metric-q neighborhoods as a multiplicatively indexed family."""
+    return mk_metric("indexed-metric", _q_distance, _draw_q)
 
 
 def broken_metric_q() -> NeighborhoodOracle:
     """Mutant of ``metric-q`` whose refinement index sits one below the
     admissible bound; exists to prove the sampled checker can catch it."""
-    oracle = metric_q()
 
     def bad_delta(a, y):
         n, x = a
-        d = abs(x - y)
-        num, den = d.numerator, d.denominator
-        if num * n >= den:
-            raise ValueError("delta is only defined on related pairs")
-        return ((n * den) // (den - n * num), y)
+        return (_ball_index(n, abs(x - y)) - 1, y)
 
-    return replace(oracle, name="broken-metric-q", delta=bad_delta)
+    return replace(metric_q(), name="broken-metric-q", delta=bad_delta)
 
 
 # ---------------------------------------------------------------------------
@@ -257,26 +265,19 @@ def mk_padic(p: int, index_max: int = 4, span: int = 10**4) -> NeighborhoodOracl
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
 
-    def rel(a, y):
-        n, x = a
+    def relates(n, x, y):
         return (y - x) % p**n == 0
 
-    def delta(a, y):
-        n, _ = a
-        return (n, y)
+    def refine(n, x, y):
+        return n
 
-    point_sampler, element_sampler = _indexed_streams(
-        lambda rng: rng.randint(-span, span), index_max
-    )
-    return NeighborhoodOracle(
-        name=f"padic:{p}",
-        proj=_snd,
-        rel=rel,
-        delta=delta,
-        unit=lambda y: (1, y),
-        meet=_same_point_meet(operator.add),
-        point_sampler=point_sampler,
-        element_sampler=element_sampler,
+    return mk_indexed_family(
+        f"padic:{p}",
+        relates,
+        refine,
+        lambda rng: rng.randint(-span, span),
+        op=operator.add,
+        index_max=index_max,
     )
 
 
@@ -340,32 +341,20 @@ def mk_cantor(index_max: int = 5, max_pre: int = 4, max_per: int = 4) -> Neighbo
     """Prefix-agreement neighborhoods on eventually periodic words:
     ``rel((n, u), w)`` iff the first ``n`` letters coincide."""
 
-    def rel(a, w):
-        n, u = a
+    def relates(n, u, w):
         return all(u.letter(i) == w.letter(i) for i in range(1, n + 1))
 
-    def delta(a, w):
-        n, u = a
-        if not rel(a, w):
+    def refine(n, u, w):
+        if not relates(n, u, w):
             raise ValueError("delta is only defined on related pairs")
-        return (n, w)
+        return n
 
     def draw(rng):
         pre = tuple(rng.choice((0, 2)) for _ in range(rng.randint(0, max_pre)))
         per = tuple(rng.choice((0, 2)) for _ in range(rng.randint(1, max_per)))
         return Word(pre, per)
 
-    point_sampler, element_sampler = _indexed_streams(draw, index_max)
-    return NeighborhoodOracle(
-        name="cantor",
-        proj=_snd,
-        rel=rel,
-        delta=delta,
-        unit=lambda u: (1, u),
-        meet=_same_point_meet(operator.mul),
-        point_sampler=point_sampler,
-        element_sampler=element_sampler,
-    )
+    return mk_indexed_family("cantor", relates, refine, draw, index_max=index_max)
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +403,7 @@ def mk_tangent_disk(strict_paper: bool = False, index_max: int = 4) -> Neighborh
     def radius2(n):
         return Fraction(1, n * n)
 
-    def rel(a, w):
-        n, c = a
+    def relates(n, c, w):
         check_point(w)
         if c[1] > 0:
             return _dist2(c, w) < radius2(n)
@@ -423,23 +411,20 @@ def mk_tangent_disk(strict_paper: bool = False, index_max: int = 4) -> Neighborh
             return w == c or _dist2(c, w) < radius2(n)
         return w == c or _dist2((c[0], Fraction(1, n)), w) < radius2(n)
 
-    def delta(a, w):
-        n, c = a
-        if not rel(a, w):
+    def refine(n, c, w):
+        if not relates(n, c, w):
             raise ValueError("delta is only defined on related pairs")
         if w == c:
-            return (n, c)
+            return n
         if c[1] > 0:
             scale = 1 if w[1] > 0 else 2
-            return (_min_shrink(n, _dist2(c, w), scale), w)
+            return _min_shrink(n, _dist2(c, w), scale)
         if strict_paper:
             if w[1] > 0:
-                return (_min_shrink(n, _dist2(c, w), 1), w)
-            d = abs(w[0] - c[0])
-            num, den = d.numerator, d.denominator
-            return ((n * den) // (den - n * num) + 1, w)
+                return _min_shrink(n, _dist2(c, w), 1)
+            return _ball_index(n, abs(w[0] - c[0]))
         # w lies strictly inside the tangent ball, hence off the axis
-        return (_min_shrink(n, _dist2((c[0], Fraction(1, n)), w), 1), w)
+        return _min_shrink(n, _dist2((c[0], Fraction(1, n)), w), 1)
 
     def draw(rng):
         x = _draw_q(rng, 6, 4)
@@ -455,20 +440,16 @@ def mk_tangent_disk(strict_paper: bool = False, index_max: int = 4) -> Neighborh
             if pt[1] > 0:
                 return pt
 
-    point_sampler, element_sampler = _indexed_streams(
-        draw, index_max, draw_element_point=draw_interior if strict_paper else None
+    oracle = mk_indexed_family(
+        "tangent-disk:strict-paper" if strict_paper else "tangent-disk",
+        relates,
+        refine,
+        draw,
+        index_max=index_max,
+        draw_element_point=draw_interior if strict_paper else None,
     )
-    name = "tangent-disk:strict-paper" if strict_paper else "tangent-disk"
-    return NeighborhoodOracle(
-        name=name,
-        proj=_snd,
-        rel=rel,
-        delta=delta,
-        unit=lambda w: (1, check_point(w)),
-        meet=_same_point_meet(operator.mul),
-        point_sampler=point_sampler,
-        element_sampler=element_sampler,
-    )
+    # the section, like the relation, rejects points below the axis
+    return replace(oracle, unit=lambda w: (1, check_point(w)))
 
 
 # ---------------------------------------------------------------------------
@@ -484,43 +465,6 @@ class GroupDescription:
     neg: Callable
     nsum: Callable
     draw_point: Callable
-
-
-def mk_normed_group(
-    group: GroupDescription,
-    member: Callable,
-    h: Callable,
-    index_max: int = 4,
-) -> NeighborhoodOracle:
-    """Oracle with ``rel((n, x), y)`` iff the n-fold sum of ``x - y`` lies in
-    the distinguished subset; refinement uses the supplied index map ``h``
-    away from zero and keeps the element on the diagonal."""
-
-    def diff(x, y):
-        return group.add(x, group.neg(y))
-
-    def rel(a, y):
-        n, x = a
-        return member(group.nsum(n, diff(x, y)))
-
-    def delta(a, y):
-        n, x = a
-        v = diff(x, y)
-        if v == group.zero:
-            return (n, x)
-        return (h(v), y)
-
-    point_sampler, element_sampler = _indexed_streams(group.draw_point, index_max)
-    return NeighborhoodOracle(
-        name=group.name,
-        proj=_snd,
-        rel=rel,
-        delta=delta,
-        unit=lambda y: (1, y),
-        meet=_same_point_meet(operator.mul),
-        point_sampler=point_sampler,
-        element_sampler=element_sampler,
-    )
 
 
 def norm_step_index(v) -> int:
@@ -546,24 +490,28 @@ def norm_step_index(v) -> int:
 
 def normed_q(dim: int) -> NeighborhoodOracle:
     """Rational vectors with the max norm; the distinguished subset is the
-    open unit ball."""
+    open unit ball.
+
+    ``rel((n, x), y)`` iff the n-fold sum of ``x - y`` lies in the subset;
+    the refinement uses the index map :func:`norm_step_index` on ``x - y``
+    away from the diagonal and keeps the index on it.
+    """
     if dim < 1:
         raise ValueError("dimension must be positive")
-    zero = (Fraction(0),) * dim
     span, den = (24, 8) if dim == 1 else (8, 4)
+
+    def relates(n, x, y):
+        return max(abs(n * (a - b)) for a, b in zip(x, y)) < 1
+
+    def refine(n, x, y):
+        if x == y:
+            return n
+        return norm_step_index(tuple(a - b for a, b in zip(x, y)))
 
     def draw(rng):
         return tuple(_draw_q(rng, span, den) for _ in range(dim))
 
-    group = GroupDescription(
-        name=f"normed-q:{dim}",
-        zero=zero,
-        add=lambda x, y: tuple(a + b for a, b in zip(x, y)),
-        neg=lambda x: tuple(-a for a in x),
-        nsum=lambda n, x: tuple(n * a for a in x),
-        draw_point=draw,
-    )
-    return mk_normed_group(group, lambda v: max(abs(c) for c in v) < 1, norm_step_index)
+    return mk_indexed_family(f"normed-q:{dim}", relates, refine, draw)
 
 
 def check_normed_conditions(
@@ -590,7 +538,7 @@ def check_normed_conditions(
         a2 = group.draw_point(rng)
         n = rng.randint(1, 4)
         n2 = rng.randint(1, 4)
-        wit = {"seed": seed, "round": rnd, "a": _describe(a), "a2": _describe(a2), "n": n, "n2": n2}
+        wit = {"seed": seed, "round": rnd, "a": a, "a2": a2, "n": n, "n2": n2}
         if member(group.nsum(n * n2, a)) and not (
             member(group.nsum(n, a)) and member(group.nsum(n2, a))
         ):
@@ -603,121 +551,6 @@ def check_normed_conditions(
         ):
             col.add("NG3", wit)
     return col.report()
-
-
-# ---------------------------------------------------------------------------
-# generic neighborhood-base and indexed-relation constructions
-
-def _metric_refine(n, x, y):
-    d = abs(x - y)
-    return (n * d.denominator) // (d.denominator - n * d.numerator) + 1
-
-
-def mk_natural_space(
-    contains: Callable,
-    witness3: Callable,
-    draw_point: Callable,
-    name: str = "natural",
-    index_max: int = 4,
-) -> NeighborhoodOracle:
-    """Oracle from a neighborhood-base predicate ``contains(n, x, y)`` and a
-    refinement-index witness ``witness3(n, x, y)``; a witness returning an
-    index that fails the inclusion shows up as an F3 violation under
-    :func:`sample_check`."""
-
-    def rel(a, y):
-        n, x = a
-        return contains(n, x, y)
-
-    def delta(a, y):
-        n, x = a
-        if not contains(n, x, y):
-            raise ValueError("delta is only defined on related pairs")
-        return (witness3(n, x, y), y)
-
-    point_sampler, element_sampler = _indexed_streams(draw_point, index_max)
-    return NeighborhoodOracle(
-        name=name,
-        proj=_snd,
-        rel=rel,
-        delta=delta,
-        unit=lambda y: (1, y),
-        meet=_same_point_meet(operator.mul),
-        point_sampler=point_sampler,
-        element_sampler=element_sampler,
-    )
-
-
-def natural_metric() -> NeighborhoodOracle:
-    """The metric-q neighborhoods rebuilt through the generic base recipe."""
-
-    def contains(n, x, y):
-        d = abs(x - y)
-        return d.numerator * n < d.denominator
-
-    return mk_natural_space(contains, _metric_refine, _draw_q, name="natural-metric")
-
-
-@dataclass(frozen=True)
-class Monoid:
-    identity: object
-    op: Callable
-    draw_index: Callable
-
-
-def mk_indexed_family(
-    monoid: Monoid,
-    relates: Callable,
-    refine: Callable,
-    draw_point: Callable,
-    name: str = "indexed",
-) -> NeighborhoodOracle:
-    """Oracle from a monoid-indexed family of relations ``relates(i, x, y)``
-    with refinement maps ``refine(i, x, y)`` into the index monoid."""
-
-    def rel(a, y):
-        i, x = a
-        return relates(i, x, y)
-
-    def delta(a, y):
-        i, x = a
-        if not relates(i, x, y):
-            raise ValueError("delta is only defined on related pairs")
-        return (refine(i, x, y), y)
-
-    def point_sampler(seed):
-        rng = Random(seed)
-        while True:
-            yield draw_point(rng)
-
-    def element_sampler(seed):
-        rng = Random(seed)
-        while True:
-            yield (monoid.draw_index(rng), draw_point(rng))
-
-    return NeighborhoodOracle(
-        name=name,
-        proj=_snd,
-        rel=rel,
-        delta=delta,
-        unit=lambda y: (monoid.identity, y),
-        meet=_same_point_meet(monoid.op),
-        point_sampler=point_sampler,
-        element_sampler=element_sampler,
-    )
-
-
-def indexed_metric() -> NeighborhoodOracle:
-    """The metric-q neighborhoods as a multiplicatively indexed family."""
-    monoid = Monoid(1, operator.mul, lambda rng: rng.randint(1, 4))
-
-    def relates(n, x, y):
-        d = abs(x - y)
-        return d.numerator * n < d.denominator
-
-    return mk_indexed_family(
-        monoid, relates, _metric_refine, _draw_q, name="indexed-metric"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -741,15 +574,6 @@ class ModulusMorphism:
         return (self.omega(a_prime[0], y), y)
 
 
-def morphism_from_modulus(
-    source: NeighborhoodOracle,
-    target: NeighborhoodOracle,
-    f: Callable,
-    omega: Callable,
-) -> ModulusMorphism:
-    return ModulusMorphism(source, target, f, omega)
-
-
 def check_modulus(
     mor: ModulusMorphism, n_samples: int, seed: int, verbose: bool = False
 ) -> AxiomReport:
@@ -769,11 +593,11 @@ def check_modulus(
         z = next(points)
         a_prime = (n, mor.f(y))
         b = mor.lift(a_prime, y)
-        wit = {"seed": seed, "round": rnd, "n": n, "y": _describe(y), "lift": _describe(b)}
+        wit = {"seed": seed, "round": rnd, "n": n, "y": y, "lift": b}
         if not eq(mor.source.proj(b), y):
             col.add("M1", wit)
         if mor.source.rel(b, z) and not mor.target.rel(a_prime, mor.f(z)):
-            col.add("M2", wit | {"z": _describe(z)})
+            col.add("M2", wit | {"z": z})
     return col.report()
 
 
@@ -785,16 +609,16 @@ def named_modulus(name: str) -> ModulusMorphism:
     doubling map on metric-q with a correct and a deliberately wrong modulus."""
     if name == "padic3-shift":
         o = mk_padic(3)
-        return morphism_from_modulus(o, o, lambda x: x + 1, lambda n, y: n)
+        return ModulusMorphism(o, o, lambda x: x + 1, lambda n, y: n)
     if name == "padic3-scale":
         o = mk_padic(3)
-        return morphism_from_modulus(o, o, lambda x: 3 * x, lambda n, y: n)
+        return ModulusMorphism(o, o, lambda x: 3 * x, lambda n, y: n)
     if name == "q-double":
         o = metric_q()
-        return morphism_from_modulus(o, o, lambda x: 2 * x, lambda n, y: 2 * n)
+        return ModulusMorphism(o, o, lambda x: 2 * x, lambda n, y: 2 * n)
     if name == "q-double-bad":
         o = metric_q()
-        return morphism_from_modulus(o, o, lambda x: 2 * x, lambda n, y: n)
+        return ModulusMorphism(o, o, lambda x: 2 * x, lambda n, y: n)
     raise ValueError(f"unknown modulus example {name!r}")
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitsets import bits
-from .core import FinFibrousPreorder
+from .core import FinFibrousPreorder, _expect_int_list, _expect_triples
 from .report import AxiomReport, Collector, FormatError, StructureError
 
 
@@ -134,14 +134,6 @@ def morphism_from_json(obj) -> FibrousMorphism:
         raise FormatError("expected a JSON object")
     if "f" not in obj or "fstar" not in obj:
         raise FormatError('missing key "f" or "fstar"')
-    f = obj["f"]
-    if not isinstance(f, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in f
-    ):
-        raise FormatError('"f" must be a list of integers')
-    rows = obj["fstar"]
-    if not isinstance(rows, list) or not all(
-        isinstance(r, list) and len(r) == 3 for r in rows
-    ):
-        raise FormatError('"fstar" must be a list of [aPrime, b, target] triples')
+    f = _expect_int_list(obj, "f")
+    rows = _expect_triples(obj, "fstar")
     return FibrousMorphism(tuple(f), {(a2, b): t for a2, b, t in rows})

@@ -19,7 +19,8 @@ class AxiomReport:
     """Outcome of an axiom or validity check.
 
     ``violations`` holds (tag, witness) pairs and the report passes exactly
-    when it is empty.  Witnesses are JSON-serializable via :func:`jsonable`.
+    when it is empty.  Witnesses hold raw values (ints, Fractions, tuples,
+    words); :meth:`to_json` formats them through :func:`jsonable`.
     """
 
     violations: tuple[tuple[str, object], ...] = ()
@@ -56,6 +57,8 @@ class Collector:
 
 
 def jsonable(value):
+    """The witness formatter: Fractions become ``"p/q"``, tuples and lists
+    become lists, dict keys strings, and any other object its ``repr``."""
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, (list, tuple)):

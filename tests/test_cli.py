@@ -7,6 +7,7 @@ from fibrous import (
     broken_metric_q,
     functor_G_mor,
     functor_G_obj,
+    identity_morphism,
     morphism_to_json,
     preorder_to_json,
     topology_to_json,
@@ -113,6 +114,40 @@ def test_compose_cli(tmp_path, capsys):
     assert code == 0
     composed = json.loads(capsys.readouterr().out)
     assert composed["f"] == [1, 1]
+
+
+def test_compose_rejects_non_integer_lifting(tmp_path, capsys):
+    point = functor_G_obj(FiniteTopology(1, (0, 1)))
+    xfile = write(tmp_path, "x.json", preorder_to_json(point.X, point.w))
+    m = morphism_to_json(identity_morphism(point.X))
+    assert m["fstar"] == [[0, 0, 0]]
+    m["fstar"] = [[0, 0, "a"]]
+    mfile = write(tmp_path, "m.json", m)
+    code = main(["compose", xfile, xfile, xfile, mfile, mfile])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert '"fstar" must be a list' in err and "Traceback" not in err
+
+
+def test_check_rejects_boolean_sizes(tmp_path, capsys):
+    obj = {"nB": True, "nA": True, "p": [0], "R": [[0]], "d": [[0, 0, 0]], "s": [0], "m": [[0, 0, 0]]}
+    assert main(["check", write(tmp_path, "bool.json", obj)]) == 2
+    assert '"nB" and "nA" must be integers' in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "metric-q", "--samples", "-5"],
+        ["modulus-check", "q-double", "--samples", "-3"],
+        ["roundtrip", "--mode", "gf", "--random", "-2"],
+    ],
+)
+def test_negative_counts_exit_two(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-negative integer" in captured.err and "Traceback" not in captured.err
 
 
 def test_roundtrip_fg_all_n(capsys):

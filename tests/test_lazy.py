@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -277,6 +278,58 @@ def test_named_instance_errors():
         named_instance("padic:6")
     with pytest.raises(ValueError):
         named_instance("normed-q:0")
+
+
+def _normed_q1_group():
+    from fibrous.lazy import GroupDescription, _draw_q
+
+    return GroupDescription(
+        name="normed-q:1",
+        zero=(F(0),),
+        add=lambda x, y: (x[0] + y[0],),
+        neg=lambda x: (-x[0],),
+        nsum=lambda n, x: (n * x[0],),
+        draw_point=lambda rng: (_draw_q(rng),),
+    )
+
+
+# Exact reports at seed 0, which pin that Fractions serialize as "p/q" and
+# tuples as lists, plus the violation count of a verbose run where there is one.
+GOLDEN_WITNESSES = {
+    "broken-metric-q": (
+        lambda **kw: sample_check(broken_metric_q(), 5000, 0, **kw),
+        {"axiom": "F3", "witness": {"seed": 0, "round": 616, "a": [2, "3"], "y": "20/7",
+                                    "delta": [2, "20/7"], "z": "5/2"}},
+        5,
+    ),
+    "broken-padic-3": (
+        lambda **kw: sample_check(broken_padic(3), 2000, 0, **kw),
+        {"axiom": "F3", "witness": {"seed": 0, "round": 5, "a": [1, -7584], "y": -7584,
+                                    "delta": [0, -7584], "z": 5986}},
+        606,
+    ),
+    "q-double-bad": (
+        lambda **kw: check_modulus(named_modulus("q-double-bad"), 5000, 0, **kw),
+        {"axiom": "M2", "witness": {"seed": 0, "round": 33, "n": 1, "y": "4",
+                                    "lift": [1, "4"], "z": "24/5"}},
+        141,
+    ),
+    "normed-wrong-h": (
+        lambda: check_normed_conditions(_normed_q1_group(), lambda v: abs(v[0]) < 1, lambda v: 1),
+        {"axiom": "NG3", "witness": {"seed": 0, "round": 141, "a": ["-1/2"], "a2": ["-4/5"],
+                                     "n": 1, "n2": 1}},
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", GOLDEN_WITNESSES)
+def test_witness_json_is_pinned(case):
+    run, first, verbose_count = GOLDEN_WITNESSES[case]
+    expected = {"passed": False, "violations": [first]}
+    assert json.dumps(run().to_json(), sort_keys=True) == json.dumps(expected, sort_keys=True)
+    if verbose_count is not None:
+        assert len(run(verbose=True).violations) == verbose_count
 
 
 # -- moduli ------------------------------------------------------------------
