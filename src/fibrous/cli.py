@@ -250,7 +250,7 @@ def _cmd_roundtrip(args) -> int:
             _emit(args, obj, ["F1-F6: fail"] + _violation_lines(obj))
             return EXIT_VIOLATION
         pairs.append((X, w))
-    elif args.random:
+    elif args.random is not None:
         pairs = [random_spatial_preorder(args.seed + i) for i in range(args.random)]
     else:
         raise FormatError("gf mode needs an input file or --random")

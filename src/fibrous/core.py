@@ -9,6 +9,7 @@ passing report is a proof at this carrier size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .bitsets import bits, from_points, is_subset, to_points
 from .report import AxiomReport, Collector, FormatError, StructureError
@@ -47,22 +48,33 @@ class FinFibrousPreorder:
         for a, row in enumerate(self.R):
             if not 0 <= row <= top:
                 raise StructureError(f"R[{a}] has bits outside the base set")
-        expected = {(a, b) for a in range(self.nA) for b in bits(self.R[a])}
-        actual = set(self.d)
-        if actual != expected:
-            missing = sorted(expected - actual)
-            extra = sorted(actual - expected)
-            raise StructureError(
-                "refinement table must cover exactly the related pairs"
-                f" (missing {missing[:3]}, extra {extra[:3]})"
-            )
-        for (a, b), t in self.d.items():
-            if not 0 <= t < self.nA:
-                raise StructureError(f"d[{(a, b)}]={t} out of range")
+        related = ((a, b) for a in range(self.nA) for b in bits(self.R[a]))
+        check_table(self.d, related, self.nA, "d", "the related pairs")
 
-    def fiber(self, x: int) -> tuple[int, ...]:
-        """Indices of the elements sitting over point ``x``."""
-        return tuple(a for a in range(self.nA) if self.p[a] == x)
+    @cached_property
+    def fibers(self) -> tuple[tuple[int, ...], ...]:
+        """``fibers[x]``: the elements over point ``x``, ascending."""
+        out = [[] for _ in range(self.nB)]
+        for a, x in enumerate(self.p):
+            out[x].append(a)
+        return tuple(map(tuple, out))
+
+
+def check_table(table: dict, domain, n_values: int, name: str, pairs: str) -> None:
+    """Raise :class:`StructureError` unless the keys of ``table`` are exactly
+    the keys in ``domain`` and every value lies in ``range(n_values)``;
+    ``pairs`` names the domain in the message."""
+    expected = set(domain)
+    if table.keys() != expected:
+        missing = sorted(expected - table.keys())
+        extra = sorted(table.keys() - expected)
+        raise StructureError(
+            f"{name} table must cover exactly {pairs}"
+            f" (missing {missing[:3]}, extra {extra[:3]})"
+        )
+    for key, t in table.items():
+        if not 0 <= t < n_values:
+            raise StructureError(f"{name}[{key}]={t} out of range")
 
 
 @dataclass(frozen=True)
@@ -97,17 +109,8 @@ def validate_witness(X: FinFibrousPreorder, w: SpatialWitness) -> None:
     for y, t in enumerate(w.s):
         if not 0 <= t < X.nA:
             raise StructureError(f"s[{y}]={t} out of range")
-    expected = {
-        (a, a2)
-        for a in range(X.nA)
-        for a2 in range(X.nA)
-        if X.p[a] == X.p[a2]
-    }
-    if set(w.m) != expected:
-        raise StructureError("meet table must cover exactly the same-fiber pairs")
-    for key, t in w.m.items():
-        if not 0 <= t < X.nA:
-            raise StructureError(f"m[{key}]={t} out of range")
+    same_fiber = ((a, a2) for fiber in X.fibers for a in fiber for a2 in fiber)
+    check_table(w.m, same_fiber, X.nA, "m", "the same-fiber pairs")
 
 
 def check_axioms(
@@ -163,8 +166,8 @@ def _cover(src: FinFibrousPreorder, dst: FinFibrousPreorder) -> tuple[int, ...] 
     # neighborhood is contained in the src neighborhood.
     out = []
     for a in range(src.nA):
-        for a2 in range(dst.nA):
-            if dst.p[a2] == src.p[a] and is_subset(dst.R[a2], src.R[a]):
+        for a2 in dst.fibers[src.p[a]]:
+            if is_subset(dst.R[a2], src.R[a]):
                 out.append(a2)
                 break
         else:
@@ -239,7 +242,7 @@ def find_umap(
     """
     u = []
     for x in range(X.nB):
-        fiber = X.fiber(x)
+        fiber = X.fibers[x]
         if not fiber:
             return None
         meet = ~0
@@ -271,11 +274,13 @@ def preorder_to_json(
     return obj
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _expect_int_list(obj, key: str) -> list[int]:
     val = obj.get(key)
-    if not isinstance(val, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in val
-    ):
+    if not isinstance(val, list) or not all(_is_int(v) for v in val):
         raise FormatError(f'"{key}" must be a list of integers')
     return val
 
@@ -283,13 +288,35 @@ def _expect_int_list(obj, key: str) -> list[int]:
 def _expect_triples(obj, key: str) -> list[list[int]]:
     val = obj.get(key)
     if not isinstance(val, list) or not all(
-        isinstance(row, list)
-        and len(row) == 3
-        and all(isinstance(v, int) and not isinstance(v, bool) for v in row)
+        isinstance(row, list) and len(row) == 3 and all(_is_int(v) for v in row)
         for row in val
     ):
         raise FormatError(f'"{key}" must be a list of [int, int, int] triples')
     return val
+
+
+def _expect_table(obj, key: str) -> dict[tuple[int, int], int]:
+    """Read ``[x, y, value]`` rows into a dict; a repeated ``[x, y]`` key is
+    a :class:`FormatError`."""
+    table = {}
+    for x, y, t in _expect_triples(obj, key):
+        if (x, y) in table:
+            raise FormatError(f'"{key}" repeats the key [{x}, {y}]')
+        table[(x, y)] = t
+    return table
+
+
+def _expect_point_lists(obj, key: str, n: int) -> tuple[int, ...]:
+    """Read a list of point lists over ``0..n-1`` into bitsets."""
+    rows = obj.get(key)
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and all(_is_int(v) for v in row) for row in rows
+    ):
+        raise FormatError(f'"{key}" must be a list of point lists')
+    try:
+        return tuple(from_points(row, n) for row in rows)
+    except ValueError as exc:
+        raise FormatError(f'bad "{key}" row: {exc}') from None
 
 
 def preorder_from_json(obj) -> tuple[FinFibrousPreorder, SpatialWitness | None]:
@@ -301,25 +328,17 @@ def preorder_from_json(obj) -> tuple[FinFibrousPreorder, SpatialWitness | None]:
         if key not in obj:
             raise FormatError(f'missing key "{key}"')
     nB, nA = obj["nB"], obj["nA"]
-    if any(not isinstance(v, int) or isinstance(v, bool) for v in (nB, nA)):
+    if not (_is_int(nB) and _is_int(nA)):
         raise FormatError('"nB" and "nA" must be integers')
     p = _expect_int_list(obj, "p")
-    rows = obj["R"]
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise FormatError('"R" must be a list of point lists')
-    try:
-        R = tuple(from_points(row, nB) for row in rows)
-    except (ValueError, TypeError) as exc:
-        raise FormatError(f'bad "R" row: {exc}') from None
-    d = {(a, b): t for a, b, t in _expect_triples(obj, "d")}
-    X = FinFibrousPreorder(nB, nA, tuple(p), R, d)
+    R = _expect_point_lists(obj, "R", nB)
+    X = FinFibrousPreorder(nB, nA, tuple(p), R, _expect_table(obj, "d"))
     has_s, has_m = "s" in obj, "m" in obj
     if has_s != has_m:
         raise FormatError('"s" and "m" must be given together')
     if not has_s:
         return X, None
     s = tuple(_expect_int_list(obj, "s"))
-    m = {(a, a2): t for a, a2, t in _expect_triples(obj, "m")}
-    w = SpatialWitness(s, m)
+    w = SpatialWitness(s, _expect_table(obj, "m"))
     validate_witness(X, w)
     return X, w

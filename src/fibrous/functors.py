@@ -19,6 +19,7 @@ from .core import (
     EquivalenceWitness,
     FinFibrousPreorder,
     SpatialWitness,
+    _cover,
     verify_equivalence,
 )
 from .morphisms import FibrousMorphism
@@ -73,13 +74,12 @@ def functor_G_obj(T: FiniteTopology) -> GImage:
     }
     full = full_mask(T.nB)
     s = tuple(index[(full, x)] for x in range(T.nB))
+    X = FinFibrousPreorder(T.nB, len(labels), p, R, d)
     m = {}
-    for x in range(T.nB):
-        fiber = [i for i, (_, pt) in enumerate(labels) if pt == x]
+    for x, fiber in enumerate(X.fibers):
         for i in fiber:
             for j in fiber:
                 m[(i, j)] = index[(R[i] & R[j], x)]
-    X = FinFibrousPreorder(T.nB, len(labels), p, R, d)
     return GImage(X, SpatialWitness(s, m), labels)
 
 
@@ -112,10 +112,9 @@ def functor_G_mor(
     gi = g_src if g_src is not None else functor_G_obj(T)
     gip = g_dst if g_dst is not None else functor_G_obj(Tp)
     fstar = {}
-    for i, (up, xp) in enumerate(gip.labels):
-        for y in range(T.nB):
-            if f[y] == xp:
-                fstar[(i, y)] = gi.index[(preimage[up], y)]
+    for y in range(T.nB):
+        for i in gip.X.fibers[f[y]]:
+            fstar[(i, y)] = gi.index[(preimage[gip.X.R[i]], y)]
     return FibrousMorphism(f, fstar)
 
 
@@ -140,13 +139,10 @@ def functor_F_obj(
         raise ValueError(
             f"brute algorithm limited to {brute_limit} points (have {X.nB})"
         )
-    by_point = [[] for _ in range(X.nB)]
-    for a in range(X.nA):
-        by_point[X.p[a]].append(X.R[a])
     opens = []
     for cand in range(1 << X.nB):
         if all(
-            any(is_subset(row, cand) for row in by_point[y])
+            any(is_subset(X.R[a], cand) for a in X.fibers[y])
             for y in bits(cand)
         ):
             opens.append(cand)
@@ -181,17 +177,10 @@ def roundtrip_GF(X: FinFibrousPreorder, w: SpatialWitness) -> EquivalenceWitness
         raise StructureError(
             "some neighborhood is not open; input violates F1-F3"
         ) from None
-    gamma = []
-    for u, x in gbar.labels:
-        for a in range(X.nA):
-            if X.p[a] == x and is_subset(X.R[a], u):
-                gamma.append(a)
-                break
-        else:
-            raise StructureError(
-                "no element fits an open set; input violates F1-F6"
-            )
-    witness = EquivalenceWitness(phi, tuple(gamma))
+    gamma = _cover(gbar.X, X)
+    if gamma is None:
+        raise StructureError("no element fits an open set; input violates F1-F6")
+    witness = EquivalenceWitness(phi, gamma)
     rep = verify_equivalence(X, gbar.X, witness)
     if not rep.passed:
         raise StructureError(f"round-trip witness failed verification: {rep.to_json()}")

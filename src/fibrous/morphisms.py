@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitsets import bits
-from .core import FinFibrousPreorder, _expect_int_list, _expect_triples
+from .core import FinFibrousPreorder, _expect_int_list, _expect_table, check_table
 from .report import AxiomReport, Collector, FormatError, StructureError
 
 
@@ -54,17 +54,8 @@ def verify_morphism(
     :class:`StructureError`.
     """
     _check_base_map(m, X, Xp)
-    expected = {
-        (a2, b)
-        for a2 in range(Xp.nA)
-        for b in range(X.nB)
-        if Xp.p[a2] == m.f[b]
-    }
-    if set(m.fstar) != expected:
-        raise StructureError("lifting table must cover exactly the fiber product")
-    for key, t in m.fstar.items():
-        if not 0 <= t < X.nA:
-            raise StructureError(f"fstar[{key}]={t} out of range")
+    fiber_product = ((a2, b) for b in range(X.nB) for a2 in Xp.fibers[m.f[b]])
+    check_table(m.fstar, fiber_product, X.nA, "fstar", "the fiber product")
     col = Collector(verbose)
     for (a2, b), t in sorted(m.fstar.items()):
         if X.p[t] != b:
@@ -101,10 +92,8 @@ def compose(
     _check_base_map(m2, Xp, Xpp)
     gf = tuple(m2.f[m1.f[b]] for b in range(X.nB))
     table = {}
-    for a3 in range(Xpp.nA):
-        for b in range(X.nB):
-            if Xpp.p[a3] != gf[b]:
-                continue
+    for b in range(X.nB):
+        for a3 in Xpp.fibers[gf[b]]:
             try:
                 mid = m2.fstar[(a3, m1.f[b])]
                 table[(a3, b)] = m1.fstar[(mid, b)]
@@ -135,5 +124,4 @@ def morphism_from_json(obj) -> FibrousMorphism:
     if "f" not in obj or "fstar" not in obj:
         raise FormatError('missing key "f" or "fstar"')
     f = _expect_int_list(obj, "f")
-    rows = _expect_triples(obj, "fstar")
-    return FibrousMorphism(tuple(f), {(a2, b): t for a2, b, t in rows})
+    return FibrousMorphism(tuple(f), _expect_table(obj, "fstar"))

@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .bitsets import bits, from_points, full_mask, is_subset, to_points
+from .bitsets import bits, full_mask, is_subset, to_points
+from .core import _expect_point_lists, _is_int
 from .report import AxiomReport, Collector, FormatError
 
 # Number of distinct topologies on 0..4 labelled points, agreed by both
@@ -150,13 +151,6 @@ def topology_from_json(obj) -> FiniteTopology:
     if "nB" not in obj or "opens" not in obj:
         raise FormatError('missing key "nB" or "opens"')
     nB = obj["nB"]
-    if not isinstance(nB, int) or isinstance(nB, bool):
+    if not _is_int(nB):
         raise FormatError('"nB" must be an integer')
-    rows = obj["opens"]
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise FormatError('"opens" must be a list of point lists')
-    try:
-        opens = tuple(from_points(row, nB) for row in rows)
-    except (ValueError, TypeError) as exc:
-        raise FormatError(f'bad "opens" row: {exc}') from None
-    return FiniteTopology(nB, opens)
+    return FiniteTopology(nB, _expect_point_lists(obj, "opens", nB))

@@ -135,6 +135,30 @@ def test_check_rejects_boolean_sizes(tmp_path, capsys):
     assert '"nB" and "nA" must be integers' in capsys.readouterr().err
 
 
+ONE = {"nB": 1, "nA": 1, "p": [0], "R": [[0]], "d": [[0, 0, 0]]}
+ONE_ID = {"f": [0], "fstar": [[0, 0, 0]]}
+
+
+@pytest.mark.parametrize(
+    "command, docs",
+    [
+        ("check", [{**ONE, "d": [[0, 0, 0], [0, 0, 0]]}]),
+        ("to-top", [{**ONE, "s": [0], "m": [[0, 0, 0], [0, 0, 0]]}]),
+        ("compose", [ONE, ONE, ONE, {**ONE_ID, "fstar": [[0, 0, 0], [0, 0, 0]]}, ONE_ID]),
+        ("check", [{"nB": 2, "nA": 2, "p": [0, 1], "R": [[0, 1], [True]],
+                    "d": [[0, 0, 0], [0, 1, 1], [1, 1, 1]]}]),
+        ("from-top", [{"nB": 2, "opens": [[], [0, 1], [True]]}]),
+    ],
+    ids=["d-repeated-key", "m-repeated-key", "fstar-repeated-key", "R-boolean", "opens-boolean"],
+)
+def test_repeated_keys_and_boolean_points_exit_two(command, docs, tmp_path, capsys):
+    paths = [write(tmp_path, f"{i}.json", doc) for i, doc in enumerate(docs)]
+    assert main([command, *paths]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -156,10 +180,11 @@ def test_roundtrip_fg_all_n(capsys):
     assert report["checked"] == 4 and report["failures"] == []
 
 
-def test_roundtrip_gf_random_prints_seed(capsys):
-    assert main(["roundtrip", "--mode", "gf", "--random", "3", "--seed", "5"]) == 0
+@pytest.mark.parametrize("count, seed", [("3", "5"), ("0", "0")])
+def test_roundtrip_gf_random_prints_seed(count, seed, capsys):
+    assert main(["roundtrip", "--mode", "gf", "--random", count, "--seed", seed]) == 0
     out = capsys.readouterr().out
-    assert "seed: 5" in out and "3 verified" in out
+    assert f"seed: {seed}" in out and f"{count} verified" in out
 
 
 def test_roundtrip_gf_file(tmp_path, sierpinski_g, capsys):

@@ -89,9 +89,19 @@ def test_structural_errors_are_not_violations():
         FinFibrousPreorder(1, 1, (0,), (1,), {(0, 0): 0, (0, 1): 0})  # extra
     with pytest.raises(StructureError):
         FinFibrousPreorder(1, 1, (1,), (1,), {(0, 0): 0})  # p out of range
+    with pytest.raises(StructureError):
+        FinFibrousPreorder(1, 1, (0,), (1,), {(0, 0): 1})  # d value out of range
+    with pytest.raises(StructureError):
+        FinFibrousPreorder(1, 1, (0,), (1,), {(0, 0): 0, (1, 0): 0})  # element nA
     gi = functor_G_obj(SIERPINSKI)
     with pytest.raises(StructureError):
         check_axioms(gi.X, SpatialWitness(gi.w.s, {}))  # meet table domain
+    nA = gi.X.nA
+    assert gi.X.p[0] != gi.X.p[1]
+    # a cross-fiber key, an out-of-range value, an element index nA
+    for key, t in (((0, 1), 0), ((0, 0), nA), ((nA, nA), 0)):
+        with pytest.raises(StructureError):
+            check_axioms(gi.X, SpatialWitness(gi.w.s, {**gi.w.m, key: t}))
 
 
 def test_neighborhood_values():

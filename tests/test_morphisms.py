@@ -67,6 +67,13 @@ def test_lifting_domain_mismatch_is_structural():
     table.popitem()
     with pytest.raises(StructureError):
         verify_morphism(GS.X, GS.X, FibrousMorphism(CONST1.f, table))
+    nA = GS.X.nA
+    assert GS.X.p[1] != CONST1.f[0]
+    # a key off the fiber product, an out-of-range value, an element index nA
+    for key, t in (((1, 0), 0), ((0, 0), nA), ((nA, 0), 0)):
+        table = {**CONST1.fstar, key: t}
+        with pytest.raises(StructureError):
+            verify_morphism(GS.X, GS.X, FibrousMorphism(CONST1.f, table))
 
 
 def test_condition_one_violation():
