@@ -9,6 +9,7 @@ runs for identical inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -18,6 +19,7 @@ from .core import (
     find_umap,
     preorder_from_json,
     preorder_to_json,
+    validate_witness,
 )
 from .bitsets import to_points
 from .functors import (
@@ -75,6 +77,17 @@ def _load_json(path: str):
         raise FormatError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise FormatError(f"{path}: JSON nested too deeply") from None
+
+
+def _load_carrier(path: str):
+    """Carrier of a preorder file for the commands that do not use its
+    spatial witness; a witness that is present must still be valid."""
+    X, w = preorder_from_json(_load_json(path))
+    if w is not None:
+        validate_witness(X, w)
+    return X
 
 
 def _emit(args, obj: dict, prose: list[str]) -> None:
@@ -139,8 +152,8 @@ def _cmd_from_top(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    XA, _ = preorder_from_json(_load_json(args.first))
-    XB, _ = preorder_from_json(_load_json(args.second))
+    XA = _load_carrier(args.first)
+    XB = _load_carrier(args.second)
     wit = find_equivalence(XA, XB)
     if wit is None:
         _emit(
@@ -158,7 +171,7 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_umap(args) -> int:
-    X, _ = preorder_from_json(_load_json(args.input))
+    X = _load_carrier(args.input)
     rep = check_axioms(X, verbose=args.verbose)
     if not rep.passed:
         obj = {"command": "umap", **rep.to_json()}
@@ -183,9 +196,9 @@ def _cmd_umap(args) -> int:
 
 
 def _cmd_compose(args) -> int:
-    Xa, _ = preorder_from_json(_load_json(args.source))
-    Xb, _ = preorder_from_json(_load_json(args.middle))
-    Xc, _ = preorder_from_json(_load_json(args.target))
+    Xa = _load_carrier(args.source)
+    Xb = _load_carrier(args.middle)
+    Xc = _load_carrier(args.target)
     m1 = morphism_from_json(_load_json(args.first))
     m2 = morphism_from_json(_load_json(args.second))
     rep1 = verify_morphism(Xa, Xb, m1, verbose=args.verbose)
@@ -215,6 +228,10 @@ def _cmd_roundtrip(args) -> int:
     failures = []
     checked = 0
     if args.mode == "fg":
+        if args.random is not None:
+            raise FormatError("--random applies to gf mode only")
+        if args.input is not None and args.all_n is not None:
+            raise FormatError("fg mode takes an input file or --all-n, not both")
         if args.all_n is not None:
             instances = enumerate_topologies(args.all_n)
         elif args.input:
@@ -239,6 +256,10 @@ def _cmd_roundtrip(args) -> int:
         )
         return EXIT_OK if not failures else EXIT_VIOLATION
     # gf mode
+    if args.all_n is not None:
+        raise FormatError("--all-n applies to fg mode only")
+    if args.input is not None and args.random is not None:
+        raise FormatError("gf mode takes an input file or --random, not both")
     pairs = []
     if args.input:
         X, w = preorder_from_json(_load_json(args.input))
@@ -333,7 +354,10 @@ def _cmd_modulus_check(args) -> int:
     return EXIT_OK if rep.passed else EXIT_VIOLATION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later
+    :func:`main` call in the process; parsing keeps no state in it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     common.add_argument(

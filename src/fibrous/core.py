@@ -274,6 +274,17 @@ def preorder_to_json(
     return obj
 
 
+# Largest base the JSON readers accept.  Point sets are bitsets and several
+# checks build one entry per point, so a larger base only exhausts memory
+# (2**33 points make a 1 GiB bitset) long before a check could finish.
+MAX_POINTS = 1 << 16
+
+
+def _expect_point_count(nB: int) -> None:
+    if nB > MAX_POINTS:
+        raise FormatError(f'"nB" is {nB}, above the limit of {MAX_POINTS} points')
+
+
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
@@ -321,7 +332,9 @@ def _expect_point_lists(obj, key: str, n: int) -> tuple[int, ...]:
 
 def preorder_from_json(obj) -> tuple[FinFibrousPreorder, SpatialWitness | None]:
     """Parse the JSON object form; schema errors raise :class:`FormatError`,
-    semantic breaches :class:`StructureError`."""
+    semantic breaches of the carrier :class:`StructureError`.  The spatial
+    witness is only parsed: :func:`check_axioms` (or
+    :func:`validate_witness`) checks it against the carrier."""
     if not isinstance(obj, dict):
         raise FormatError("expected a JSON object")
     for key in ("nB", "nA", "p", "R", "d"):
@@ -330,6 +343,7 @@ def preorder_from_json(obj) -> tuple[FinFibrousPreorder, SpatialWitness | None]:
     nB, nA = obj["nB"], obj["nA"]
     if not (_is_int(nB) and _is_int(nA)):
         raise FormatError('"nB" and "nA" must be integers')
+    _expect_point_count(nB)
     p = _expect_int_list(obj, "p")
     R = _expect_point_lists(obj, "R", nB)
     X = FinFibrousPreorder(nB, nA, tuple(p), R, _expect_table(obj, "d"))
@@ -339,6 +353,4 @@ def preorder_from_json(obj) -> tuple[FinFibrousPreorder, SpatialWitness | None]:
     if not has_s:
         return X, None
     s = tuple(_expect_int_list(obj, "s"))
-    w = SpatialWitness(s, _expect_table(obj, "m"))
-    validate_witness(X, w)
-    return X, w
+    return X, SpatialWitness(s, _expect_table(obj, "m"))

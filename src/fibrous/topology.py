@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .bitsets import bits, full_mask, is_subset, to_points
-from .core import _expect_point_lists, _is_int
+from .core import _expect_point_count, _expect_point_lists, _is_int
 from .report import AxiomReport, Collector, FormatError
 
 # Number of distinct topologies on 0..4 labelled points, agreed by both
@@ -153,4 +153,5 @@ def topology_from_json(obj) -> FiniteTopology:
     nB = obj["nB"]
     if not _is_int(nB):
         raise FormatError('"nB" must be an integer')
+    _expect_point_count(nB)
     return FiniteTopology(nB, _expect_point_lists(obj, "opens", nB))

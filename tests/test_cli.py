@@ -160,18 +160,82 @@ def test_repeated_keys_and_boolean_points_exit_two(command, docs, tmp_path, caps
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "command, doc",
     [
-        ["sample", "metric-q", "--samples", "-5"],
-        ["modulus-check", "q-double", "--samples", "-3"],
-        ["roundtrip", "--mode", "gf", "--random", "-2"],
+        ("check", {**ONE, "nB": 2**70}),
+        ("umap", {**ONE, "nB": 65537}),
+        ("from-top", {"nB": 2**70, "opens": [[]]}),
     ],
 )
-def test_negative_counts_exit_two(argv, capsys):
+def test_oversized_base_exits_two(command, doc, tmp_path, capsys):
+    assert main([command, write(tmp_path, "big.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f'error: "nB" is {doc["nB"]}, above the limit of 65536 points\n'
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sample", "metric-q", "--samples", "-5"], "non-negative integer"),
+        (["modulus-check", "q-double", "--samples", "-3"], "non-negative integer"),
+        (["roundtrip", "--mode", "gf", "--random", "-2"], "non-negative integer"),
+        (["roundtrip", "--mode", "gf", "G", "--random", "3"], "error: gf mode takes an input file or --random, not both"),
+        (["roundtrip", "--mode", "gf", "--all-n", "2"], "error: --all-n applies to fg mode only"),
+        (["roundtrip", "--mode", "fg", "T", "--all-n", "2"], "error: fg mode takes an input file or --all-n, not both"),
+        (["roundtrip", "--mode", "fg", "--random", "3"], "error: --random applies to gf mode only"),
+    ],
+    ids=["argv0", "argv1", "argv2", "gf-file-and-random", "gf-all-n", "fg-file-and-all-n", "fg-random"],
+)
+def test_negative_counts_exit_two(argv, message, sierpinski_top, sierpinski_g, capsys):
+    argv = [{"G": sierpinski_g, "T": sierpinski_top}.get(a, a) for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "non-negative integer" in captured.err and "Traceback" not in captured.err
+    assert message in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "G"], ["to-top", "G"], ["roundtrip", "--mode", "gf", "G"]],
+    ids=["check", "to-top", "roundtrip-gf"],
+)
+def test_witness_is_validated_once(argv, sierpinski_g, monkeypatch, capsys):
+    import fibrous.core as core
+
+    calls = []
+    original = core.validate_witness
+
+    def counted(X, w):
+        calls.append(w)
+        return original(X, w)
+
+    monkeypatch.setattr(core, "validate_witness", counted)
+    assert main([a if a != "G" else sierpinski_g for a in argv]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "command, files",
+    [
+        ("check", "B"),
+        ("to-top", "B"),
+        ("umap", "B"),
+        ("equiv", "BG"),
+        ("equiv", "GB"),
+        ("compose", "GBGMM"),
+        ("roundtrip --mode gf", "B"),
+    ],
+)
+def test_malformed_witness_exits_two(command, files, tmp_path, sierpinski_g, capsys):
+    gi = functor_G_obj(SIERPINSKI)
+    bad = write(tmp_path, "bad.json", {**preorder_to_json(gi.X, gi.w), "s": [0, 5]})
+    m = write(tmp_path, "m.json", morphism_to_json(identity_morphism(gi.X)))
+    paths = {"B": bad, "G": sierpinski_g, "M": m}
+    assert main([*command.split(), *(paths[f] for f in files)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: s[1]=5 out of range\n"
 
 
 def test_roundtrip_fg_all_n(capsys):
@@ -238,6 +302,23 @@ def test_malformed_json_reports_position(tmp_path, capsys):
     assert "line 1" in err and "column" in err
 
 
+@pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])
+def test_deeply_nested_json_exits_two(from_stdin, tmp_path, monkeypatch, capsys):
+    import io
+
+    text = "[" * 100_000 + "]" * 100_000
+    if from_stdin:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        path = "-"
+    else:
+        path = tmp_path / "deep.json"
+        path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: JSON nested too deeply\n"
+
+
 def test_schema_error_exits_two(tmp_path, capsys):
     fixture = write(tmp_path, "half.json", {"nB": 1, "nA": 1})
     assert main(["check", fixture]) == 2
@@ -271,6 +352,51 @@ def test_stdin_input(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     assert main(["check", "-"]) == 0
     assert "F1-F6: pass" in capsys.readouterr().out
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, sierpinski_top, sierpinski_g, monkeypatch, capsys):
+    """``main`` reuses one parser; no call may see state left by an earlier one."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import fibrous
+
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**os.environ, "PYTHONPATH": str(Path(fibrous.__file__).parents[1])}
+    G, T = sierpinski_g, sierpinski_top
+    witness = tmp_path / "witness.json"
+    sequence = [
+        ["check", G, "--verbose", "--json"],
+        ["check", G],
+        ["from-top", T, "--json"],
+        ["to-top", G, "--verbose"],
+        ["roundtrip", "--mode", "fg", T, "--verbose"],
+        ["umap", G],
+        ["check"],
+        ["equiv", G, G, "--json"],
+        ["sample", "padic:3", "--samples", "50", "--witness-out", str(witness), "--verbose"],
+        ["sample", "padic:3", "--samples", "50", "--json"],
+        ["roundtrip", "--mode", "gf", "--random", "0"],
+        ["roundtrip", "--mode", "gf", "--random", "2", "--seed", "7", "--json"],
+        ["roundtrip", "--mode", "fg", "--all-n", "2"],
+        ["sample", "no-such-instance"],
+        ["modulus-check", "q-double-bad", "--samples", "2000", "--json"],
+        ["--help"],
+        ["roundtrip", "--help"],
+        ["enum-top", "2", "--verbose"],
+        ["enum-top", "2"],
+    ]
+    for argv in sequence:
+        code = main(argv)
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "fibrous.cli", *argv],
+            capture_output=True, text=True, env=env, stdin=subprocess.DEVNULL, timeout=60,
+        )
+        assert (captured.out, captured.err, code) == (fresh.stdout, fresh.stderr, fresh.returncode), argv
+    assert not witness.exists()
 
 
 def test_json_reports_are_byte_identical(capsys, sierpinski_g):
