@@ -52,7 +52,7 @@ EXIT_USAGE = 2
 
 
 def _count(text: str) -> int:
-    """Argument type for sample and instance counts."""
+    """Argument type for counts of samples, instances and points."""
     try:
         value = int(text)
     except ValueError:
@@ -90,12 +90,24 @@ def _load_carrier(path: str):
     return X
 
 
-def _emit(args, obj: dict, prose: list[str]) -> None:
+def _load_spatial(path: str):
+    """Carrier and spatial witness of a preorder file that must have one."""
+    X, w = preorder_from_json(_load_json(path))
+    if w is None:
+        raise FormatError('a spatial witness ("s" and "m") is required')
+    return X, w
+
+
+def _emit(args, code: int, obj, prose) -> int:
+    """Print ``obj`` as JSON with --json, else the ``prose`` lines, and
+    return ``code``.  ``prose`` is iterated only without --json, so a
+    generator keeps costly lines unbuilt."""
     if args.json:
         print(json.dumps(obj, sort_keys=True))
     else:
         for line in prose:
             print(line)
+    return code
 
 
 def _violation_lines(report_json: dict) -> list[str]:
@@ -105,94 +117,66 @@ def _violation_lines(report_json: dict) -> list[str]:
     ]
 
 
+def _verdict(args, command: str, rep, head: list[str], **fields) -> int:
+    """Emit the axiom report ``rep``: the ``head`` lines, then one line per
+    violation; exit 0 if it passed, 1 if not."""
+    obj = {"command": command, **fields, **rep.to_json()}
+    code = EXIT_OK if rep.passed else EXIT_VIOLATION
+    return _emit(args, code, obj, head + _violation_lines(obj))
+
+
 def _cmd_check(args) -> int:
     X, w = preorder_from_json(_load_json(args.input))
     rep = check_axioms(X, w, verbose=args.verbose)
     span = "F1-F6" if w is not None else "F1-F3"
-    obj = {"command": "check", "axioms": span, **rep.to_json()}
-    prose = [f"{span}: {'pass' if rep.passed else 'fail'}"]
-    prose += _violation_lines(obj)
-    _emit(args, obj, prose)
-    return EXIT_OK if rep.passed else EXIT_VIOLATION
+    verdict = f"{span}: {'pass' if rep.passed else 'fail'}"
+    return _verdict(args, "check", rep, [verdict], axioms=span)
 
 
 def _cmd_to_top(args) -> int:
-    X, w = preorder_from_json(_load_json(args.input))
-    if w is None:
-        raise FormatError('a spatial witness ("s" and "m") is required')
+    X, w = _load_spatial(args.input)
     rep = check_axioms(X, w, verbose=args.verbose)
     if not rep.passed:
-        obj = {"command": "to-top", **rep.to_json()}
-        _emit(args, obj, ["F1-F6: fail"] + _violation_lines(obj))
-        return EXIT_VIOLATION
+        return _verdict(args, "to-top", rep, ["F1-F6: fail"])
     T = functor_F_obj(X, w, algorithm=args.algorithm, brute_limit=args.brute_limit)
-    if args.json:
-        print(json.dumps(topology_to_json(T), sort_keys=True))
-    else:
-        print(f"topology on {T.nB} points, {len(T.opens)} open sets:")
-        for u in T.opens:
-            print(f"  {to_points(u)}")
-    return EXIT_OK
+    prose = [f"topology on {T.nB} points, {len(T.opens)} open sets:"]
+    prose += [f"  {to_points(u)}" for u in T.opens]
+    return _emit(args, EXIT_OK, topology_to_json(T), prose)
 
 
 def _cmd_from_top(args) -> int:
     T = topology_from_json(_load_json(args.input))
     rep = validate_topology(T, verbose=args.verbose)
     if not rep.passed:
-        obj = {"command": "from-top", **rep.to_json()}
-        _emit(args, obj, ["topology axioms: fail"] + _violation_lines(obj))
-        return EXIT_VIOLATION
+        return _verdict(args, "from-top", rep, ["topology axioms: fail"])
     gi = functor_G_obj(T)
     payload = preorder_to_json(gi.X, gi.w)
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    return EXIT_OK
+    indented = (json.dumps(p, sort_keys=True, indent=2) for p in [payload])
+    return _emit(args, EXIT_OK, payload, indented)
 
 
 def _cmd_equiv(args) -> int:
-    XA = _load_carrier(args.first)
-    XB = _load_carrier(args.second)
-    wit = find_equivalence(XA, XB)
+    wit = find_equivalence(_load_carrier(args.first), _load_carrier(args.second))
     if wit is None:
-        _emit(
-            args,
-            {"command": "equiv", "witness": None},
-            ["no equivalence witness exists"],
-        )
-        return EXIT_VIOLATION
-    obj = {
-        "command": "equiv",
-        "witness": {"phi": list(wit.phi), "gamma": list(wit.gamma)},
-    }
-    _emit(args, obj, [f"phi: {list(wit.phi)}", f"gamma: {list(wit.gamma)}"])
-    return EXIT_OK
+        obj = {"command": "equiv", "witness": None}
+        return _emit(args, EXIT_VIOLATION, obj, ["no equivalence witness exists"])
+    phi, gamma = list(wit.phi), list(wit.gamma)
+    obj = {"command": "equiv", "witness": {"phi": phi, "gamma": gamma}}
+    return _emit(args, EXIT_OK, obj, [f"phi: {phi}", f"gamma: {gamma}"])
 
 
 def _cmd_umap(args) -> int:
     X = _load_carrier(args.input)
     rep = check_axioms(X, verbose=args.verbose)
     if not rep.passed:
-        obj = {"command": "umap", **rep.to_json()}
-        _emit(args, obj, ["F1-F3: fail"] + _violation_lines(obj))
-        return EXIT_VIOLATION
+        return _verdict(args, "umap", rep, ["F1-F3: fail"])
     res = find_umap(X)
     if res is None:
-        _emit(
-            args,
-            {"command": "umap", "u": None, "R0": None},
-            ["no fiber-minimum section exists"],
-        )
-        return EXIT_VIOLATION
-    u, R0 = res
-    obj = {"command": "umap", "u": list(u), "R0": [to_points(row) for row in R0]}
-    _emit(
-        args,
-        obj,
-        [f"u: {list(u)}"] + [f"R0[{x}]: {to_points(row)}" for x, row in enumerate(R0)],
-    )
-    return EXIT_OK
+        obj = {"command": "umap", "u": None, "R0": None}
+        return _emit(args, EXIT_VIOLATION, obj, ["no fiber-minimum section exists"])
+    u, R0 = list(res[0]), [to_points(row) for row in res[1]]
+    prose = [f"u: {u}"] + [f"R0[{x}]: {row}" for x, row in enumerate(R0)]
+    return _emit(args, EXIT_OK, {"command": "umap", "u": u, "R0": R0}, prose)
 
 
 def _cmd_compose(args) -> int:
@@ -204,92 +188,62 @@ def _cmd_compose(args) -> int:
     rep1 = verify_morphism(Xa, Xb, m1, verbose=args.verbose)
     rep2 = verify_morphism(Xb, Xc, m2, verbose=args.verbose)
     if not (rep1.passed and rep2.passed):
-        obj = {
-            "command": "compose",
-            "passed": False,
-            "first": rep1.to_json(),
-            "second": rep2.to_json(),
-        }
-        _emit(
-            args,
-            obj,
-            ["input morphisms fail verification"]
-            + _violation_lines(rep1.to_json())
-            + _violation_lines(rep2.to_json()),
-        )
-        return EXIT_VIOLATION
-    comp = compose(Xa, Xb, Xc, m1, m2)
-    payload = morphism_to_json(comp)
-    print(json.dumps(payload, sort_keys=True))
-    return EXIT_OK
+        first, second = rep1.to_json(), rep2.to_json()
+        obj = {"command": "compose", "passed": False, "first": first, "second": second}
+        prose = ["input morphisms fail verification"]
+        prose += _violation_lines(first) + _violation_lines(second)
+        return _emit(args, EXIT_VIOLATION, obj, prose)
+    payload = morphism_to_json(compose(Xa, Xb, Xc, m1, m2))
+    return _emit(args, EXIT_OK, payload, (json.dumps(p, sort_keys=True) for p in [payload]))
 
 
 def _cmd_roundtrip(args) -> int:
-    failures = []
-    checked = 0
-    if args.mode == "fg":
-        if args.random is not None:
-            raise FormatError("--random applies to gf mode only")
-        if args.input is not None and args.all_n is not None:
-            raise FormatError("fg mode takes an input file or --all-n, not both")
-        if args.all_n is not None:
-            instances = enumerate_topologies(args.all_n)
-        elif args.input:
-            instances = [topology_from_json(_load_json(args.input))]
+    fg = args.mode == "fg"
+    flag, source = ("--all-n", args.all_n) if fg else ("--random", args.random)
+    for name in ("random", "seed") if fg else ("all_n", "algorithm"):
+        if getattr(args, name) is not None:
+            other = "gf" if fg else "fg"
+            raise FormatError(f"--{name.replace('_', '-')} applies to {other} mode only")
+    if args.input is not None and source is not None:
+        raise FormatError(f"{args.mode} mode takes an input file or {flag}, not both")
+    if not args.input and source is None:
+        raise FormatError(f"{args.mode} mode needs an input file or {flag}")
+    if fg:
+        algorithm = args.algorithm or "union-closure"
+        if source is None:
+            tops = [topology_from_json(_load_json(args.input))]
         else:
-            raise FormatError("fg mode needs an input file or --all-n")
-        for i, T in enumerate(instances):
-            rep = roundtrip_FG(T, algorithm=args.algorithm)
-            checked += 1
+            tops = enumerate_topologies(source)
+        failures = []
+        for i, T in enumerate(tops):
+            rep = roundtrip_FG(T, algorithm=algorithm)
             if not rep.passed:
                 failures.append({"instance": i, **rep.to_json()})
-        obj = {
-            "command": "roundtrip",
-            "mode": "fg",
-            "checked": checked,
-            "failures": failures,
-        }
-        _emit(
-            args,
-            obj,
-            [f"fg round-trip: {checked} instance(s), {len(failures)} failure(s)"],
-        )
-        return EXIT_OK if not failures else EXIT_VIOLATION
-    # gf mode
-    if args.all_n is not None:
-        raise FormatError("--all-n applies to fg mode only")
-    if args.input is not None and args.random is not None:
-        raise FormatError("gf mode takes an input file or --random, not both")
-    pairs = []
-    if args.input:
-        X, w = preorder_from_json(_load_json(args.input))
-        if w is None:
-            raise FormatError('a spatial witness ("s" and "m") is required')
+        obj = {"command": "roundtrip", "mode": "fg", "checked": len(tops), "failures": failures}
+        prose = [f"fg round-trip: {len(tops)} instance(s), {len(failures)} failure(s)"]
+        return _emit(args, EXIT_VIOLATION if failures else EXIT_OK, obj, prose)
+    seed = 0 if args.seed is None else args.seed
+    if source is None:
+        X, w = _load_spatial(args.input)
         rep = check_axioms(X, w)
         if not rep.passed:
-            obj = {"command": "roundtrip", "mode": "gf", **rep.to_json()}
-            _emit(args, obj, ["F1-F6: fail"] + _violation_lines(obj))
-            return EXIT_VIOLATION
-        pairs.append((X, w))
-    elif args.random is not None:
-        pairs = [random_spatial_preorder(args.seed + i) for i in range(args.random)]
+            return _verdict(args, "roundtrip", rep, ["F1-F6: fail"], mode="gf")
+        pairs = [(X, w)]
     else:
-        raise FormatError("gf mode needs an input file or --random")
+        pairs = [random_spatial_preorder(seed + i) for i in range(source)]
     witnesses = []
     for X, w in pairs:
         wit = roundtrip_GF(X, w)
-        checked += 1
         witnesses.append({"phi": list(wit.phi), "gamma": list(wit.gamma)})
     obj = {
         "command": "roundtrip",
         "mode": "gf",
-        "seed": args.seed,
-        "checked": checked,
-        "witnesses": witnesses if args.input else len(witnesses),
+        "seed": seed,
+        "checked": len(pairs),
+        "witnesses": witnesses if source is None else len(witnesses),
     }
-    prose = [f"seed: {args.seed}", f"gf round-trip: {checked} verified witness(es)"]
-    _emit(args, obj, prose)
-    return EXIT_OK
+    prose = [f"seed: {seed}", f"gf round-trip: {len(pairs)} verified witness(es)"]
+    return _emit(args, EXIT_OK, obj, prose)
 
 
 def _cmd_enum_top(args) -> int:
@@ -305,53 +259,34 @@ def _cmd_enum_top(args) -> int:
         prose += [
             "  " + " ".join(str(to_points(u)) for u in T.opens) for T in tops
         ]
-    _emit(args, obj, prose)
-    return EXIT_OK
+    return _emit(args, EXIT_OK, obj, prose)
 
 
 def _cmd_sample(args) -> int:
     oracle = named_instance(args.instance)
     rep = sample_check(oracle, args.samples, args.seed, verbose=args.verbose)
-    obj = {
-        "command": "sample",
-        "instance": args.instance,
-        "samples": args.samples,
-        "seed": args.seed,
-        **rep.to_json(),
-    }
-    prose = [f"instance: {args.instance}", f"seed: {args.seed}"]
-    if rep.passed:
-        prose.append(f"no violations in {args.samples} samples")
-    else:
-        prose.append(f"violations found in {args.samples} samples")
-        prose += _violation_lines(obj)
-    _emit(args, obj, prose)
+    outcome = "no violations" if rep.passed else "violations found"
+    head = [f"instance: {args.instance}", f"seed: {args.seed}"]
+    head.append(f"{outcome} in {args.samples} samples")
+    code = _verdict(
+        args, "sample", rep, head, instance=args.instance, samples=args.samples, seed=args.seed
+    )
     if not rep.passed and args.witness_out:
         replay = {"seed": args.seed, "witness": jsonable(rep.violations[0][1])}
         with open(args.witness_out, "w", encoding="utf-8") as fh:
             json.dump(replay, fh, sort_keys=True)
             fh.write("\n")
-    return EXIT_OK if rep.passed else EXIT_VIOLATION
+    return code
 
 
 def _cmd_modulus_check(args) -> int:
     mor = named_modulus(args.name)
     rep = check_modulus(mor, args.samples, args.seed, verbose=args.verbose)
-    obj = {
-        "command": "modulus-check",
-        "name": args.name,
-        "samples": args.samples,
-        "seed": args.seed,
-        **rep.to_json(),
-    }
-    prose = [f"modulus: {args.name}", f"seed: {args.seed}"]
-    if rep.passed:
-        prose.append(f"no counterexamples in {args.samples} samples")
-    else:
-        prose.append("modulus falsified")
-        prose += _violation_lines(obj)
-    _emit(args, obj, prose)
-    return EXIT_OK if rep.passed else EXIT_VIOLATION
+    head = [f"modulus: {args.name}", f"seed: {args.seed}"]
+    head.append(f"no counterexamples in {args.samples} samples" if rep.passed else "modulus falsified")
+    return _verdict(
+        args, "modulus-check", rep, head, name=args.name, samples=args.samples, seed=args.seed
+    )
 
 
 @functools.cache
@@ -403,14 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("roundtrip", parents=[common], help="verify the fg or gf round trip")
     s.add_argument("input", nargs="?", help="instance file (topology for fg, spatial instance for gf)")
     s.add_argument("--mode", choices=("fg", "gf"), required=True)
-    s.add_argument("--all-n", type=int, help="fg: run on every topology with this many points")
+    s.add_argument("--all-n", type=_count, help="fg: run on every topology with this many points")
     s.add_argument("--random", type=_count, help="gf: run on this many seeded random instances")
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--algorithm", choices=("union-closure", "brute"), default="union-closure")
+    s.add_argument("--seed", type=int)
+    s.add_argument("--algorithm", choices=("union-closure", "brute"))
     s.set_defaults(handler=_cmd_roundtrip)
 
     s = sub.add_parser("enum-top", parents=[common], help="enumerate all topologies on n points")
-    s.add_argument("n", type=int)
+    s.add_argument("n", type=_count)
     s.set_defaults(handler=_cmd_enum_top)
 
     s = sub.add_parser("sample", parents=[common], help="sampled axiom check of a lazy instance")

@@ -10,8 +10,7 @@ produces a verified equivalence witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from random import Random
 
 from .bitsets import bits, full_mask, is_subset, to_points
@@ -41,16 +40,13 @@ class GImage:
 
     ``labels[a]`` is the (open-set bitset, point) pair of element ``a``; the
     labelling is injective, the projection returns the point component and
-    the neighborhood equals the open-set component.
+    the neighborhood equals the open-set component; ``index`` inverts it.
     """
 
     X: FinFibrousPreorder
     w: SpatialWitness
     labels: tuple[tuple[int, int], ...]
-
-    @cached_property
-    def index(self) -> dict[tuple[int, int], int]:
-        return {lab: i for i, lab in enumerate(self.labels)}
+    index: dict[tuple[int, int], int] = field(repr=False, compare=False)
 
 
 def functor_G_obj(T: FiniteTopology) -> GImage:
@@ -80,7 +76,7 @@ def functor_G_obj(T: FiniteTopology) -> GImage:
         for i in fiber:
             for j in fiber:
                 m[(i, j)] = index[(R[i] & R[j], x)]
-    return GImage(X, SpatialWitness(s, m), labels)
+    return GImage(X, SpatialWitness(s, m), labels, index)
 
 
 def functor_G_mor(

@@ -16,19 +16,6 @@ from typing import Callable, Iterator
 
 from .report import AxiomReport, Collector
 
-INSTANCE_NAMES = (
-    "metric-q",
-    "metric-q2",
-    "padic:<p>",
-    "cantor",
-    "tangent-disk",
-    "tangent-disk:strict-paper",
-    "normed-q:<d>",
-    "indexed-metric",
-    "natural-metric",
-)
-
-
 @dataclass(frozen=True)
 class NeighborhoodOracle:
     """Interface record for a lazily presented spatial fibrous preorder.
@@ -601,51 +588,52 @@ def check_modulus(
     return col.report()
 
 
-MODULUS_NAMES = ("padic3-shift", "padic3-scale", "q-double", "q-double-bad")
+# name -> (space, point map, modulus) of a modulus example on one space
+_MODULI = {
+    "padic3-shift": (lambda: mk_padic(3), lambda x: x + 1, lambda n, y: n),
+    "padic3-scale": (lambda: mk_padic(3), lambda x: 3 * x, lambda n, y: n),
+    "q-double": (metric_q, lambda x: 2 * x, lambda n, y: 2 * n),
+    "q-double-bad": (metric_q, lambda x: 2 * x, lambda n, y: n),
+}
+MODULUS_NAMES = tuple(_MODULI)
 
 
 def named_modulus(name: str) -> ModulusMorphism:
     """Built-in modulus examples: translation and scaling on padic:3, the
     doubling map on metric-q with a correct and a deliberately wrong modulus."""
-    if name == "padic3-shift":
-        o = mk_padic(3)
-        return ModulusMorphism(o, o, lambda x: x + 1, lambda n, y: n)
-    if name == "padic3-scale":
-        o = mk_padic(3)
-        return ModulusMorphism(o, o, lambda x: 3 * x, lambda n, y: n)
-    if name == "q-double":
-        o = metric_q()
-        return ModulusMorphism(o, o, lambda x: 2 * x, lambda n, y: 2 * n)
-    if name == "q-double-bad":
-        o = metric_q()
-        return ModulusMorphism(o, o, lambda x: 2 * x, lambda n, y: n)
-    raise ValueError(f"unknown modulus example {name!r}")
+    if name not in _MODULI:
+        raise ValueError(f"unknown modulus example {name!r}")
+    space, f, modulus = _MODULI[name]
+    o = space()
+    return ModulusMorphism(o, o, f, modulus)
+
+
+# name -> constructor; a name ending in "<x>" stands for its prefix followed
+# by an integer, which the constructor takes.
+_INSTANCES = {
+    "metric-q": metric_q,
+    "metric-q2": metric_q2,
+    "padic:<p>": mk_padic,
+    "cantor": mk_cantor,
+    "tangent-disk": mk_tangent_disk,
+    "tangent-disk:strict-paper": lambda: mk_tangent_disk(strict_paper=True),
+    "normed-q:<d>": normed_q,
+    "indexed-metric": indexed_metric,
+    "natural-metric": natural_metric,
+}
+INSTANCE_NAMES = tuple(_INSTANCES)
 
 
 def named_instance(name: str) -> NeighborhoodOracle:
     """Resolve an instance selection string (see ``INSTANCE_NAMES``)."""
-    if name == "metric-q":
-        return metric_q()
-    if name == "metric-q2":
-        return metric_q2()
-    if name == "cantor":
-        return mk_cantor()
-    if name == "tangent-disk":
-        return mk_tangent_disk()
-    if name == "tangent-disk:strict-paper":
-        return mk_tangent_disk(strict_paper=True)
-    if name == "indexed-metric":
-        return indexed_metric()
-    if name == "natural-metric":
-        return natural_metric()
-    if name.startswith("padic:"):
-        try:
-            return mk_padic(int(name.split(":", 1)[1]))
-        except ValueError as exc:
-            raise ValueError(f"bad instance {name!r}: {exc}") from None
-    if name.startswith("normed-q:"):
-        try:
-            return normed_q(int(name.split(":", 1)[1]))
-        except ValueError as exc:
-            raise ValueError(f"bad instance {name!r}: {exc}") from None
+    for key, make in _INSTANCES.items():
+        prefix, param, _ = key.partition("<")
+        if not param:
+            if name == key:
+                return make()
+        elif name.startswith(prefix):
+            try:
+                return make(int(name[len(prefix):]))
+            except ValueError as exc:
+                raise ValueError(f"bad instance {name!r}: {exc}") from None
     raise ValueError(f"unknown instance {name!r}")

@@ -129,15 +129,11 @@ def enumerate_topologies_closure(n: int) -> list[FiniteTopology]:
 
 
 def enumerate_topologies(n: int) -> list[FiniteTopology]:
-    """All topologies on ``n`` points (n <= 4), deterministic order.
-
-    Uses the brute-force filter up to 3 points and the minimal-neighborhood
-    generator at 4.
-    """
+    """All topologies on ``n`` points (n <= 4), deterministic order, from
+    the minimal-neighborhood generator; the tests check it against the
+    brute-force filter."""
     if n < 0 or n > 4:
         raise ValueError("enumeration supports at most 4 points")
-    if n <= 3:
-        return enumerate_topologies_brute(n)
     return enumerate_topologies_closure(n)
 
 

@@ -174,6 +174,117 @@ def test_oversized_base_exits_two(command, doc, tmp_path, capsys):
     assert captured.err == f'error: "nB" is {doc["nB"]}, above the limit of 65536 points\n'
 
 
+# Small instances for the pinned-output test.  G is the carrier of the
+# Sierpinski space with its witness, B the same carrier bare; BAD breaks F1 at
+# (1, 1).  T1 is the one-point topology, TBAD fails every topology axiom but
+# the intersection of its two opens.  D and I are the bare carriers of the
+# discrete and indiscrete topologies on two points, NOMIN a carrier without
+# a fiber-minimum section.  M lifts the constant map 1 on the Sierpinski
+# space; MBAD lifts (0, 0) into the wrong fiber.
+PINNED_G = {
+    "nB": 2, "nA": 3, "p": [1, 0, 1], "R": [[1], [0, 1], [0, 1]],
+    "d": [[0, 1, 0], [1, 0, 1], [1, 1, 2], [2, 0, 1], [2, 1, 2]],
+    "s": [1, 2], "m": [[0, 0, 0], [0, 2, 0], [1, 1, 1], [2, 0, 0], [2, 2, 2]],
+}
+PINNED_BAD = {**PINNED_G, "d": [[0, 1, 0], [1, 0, 1], [1, 1, 1], [2, 0, 1], [2, 1, 2]]}
+PINNED_FILES = {
+    "G": PINNED_G,
+    "BAD": PINNED_BAD,
+    "BADBARE": {k: PINNED_BAD[k] for k in ("nB", "nA", "p", "R", "d")},
+    "T1": {"nB": 1, "opens": [[], [0]]},
+    "TBAD": {"nB": 2, "opens": [[0], [1]]},
+    "D": {"nB": 2, "nA": 4, "p": [0, 1, 0, 1], "R": [[0], [1], [0, 1], [0, 1]],
+          "d": [[0, 0, 0], [1, 1, 1], [2, 0, 2], [2, 1, 3], [3, 0, 2], [3, 1, 3]]},
+    "I": {"nB": 2, "nA": 2, "p": [0, 1], "R": [[0, 1], [0, 1]],
+          "d": [[0, 0, 0], [0, 1, 1], [1, 0, 0], [1, 1, 1]]},
+    "NOMIN": {"nB": 3, "nA": 4, "p": [0, 0, 1, 2], "R": [[0, 1], [0, 2], [1], [2]],
+              "d": [[0, 0, 0], [0, 1, 2], [1, 0, 1], [1, 2, 3], [2, 1, 2], [3, 2, 3]]},
+    "M": {"f": [1, 1], "fstar": [[0, 0, 1], [0, 1, 2], [2, 0, 1], [2, 1, 2]]},
+    "MBAD": {"f": [1, 1], "fstar": [[0, 0, 0], [0, 1, 2], [2, 0, 1], [2, 1, 2]]},
+}
+
+
+@pytest.mark.parametrize("argv, code, stdout", [
+    pytest.param(["check", "G"], 0, 'F1-F6: pass\n', id="check-G"),
+    pytest.param(["check", "G", "--json"], 0, (
+        '{"axioms": "F1-F6", "command": "check", "passed": true, "violations": []}\n'
+    ), id="check-G-json"),
+    pytest.param(["check", "BAD"], 1, 'F1-F6: fail\n  F1: witness [1, 1]\n', id="check-BAD"),
+    pytest.param(["check", "BAD", "--json"], 1, (
+        '{"axioms": "F1-F6", "command": "check", "passed": false, "violations": [{"axiom": "F1", "witness": [1, 1]}]}\n'
+    ), id="check-BAD-json"),
+    pytest.param(["to-top", "G"], 0, 'topology on 2 points, 3 open sets:\n  []\n  [1]\n  [0, 1]\n', id="to-top-G"),
+    pytest.param(["to-top", "G", "--json"], 0, '{"nB": 2, "opens": [[], [1], [0, 1]]}\n', id="to-top-G-json"),
+    pytest.param(["to-top", "BAD"], 1, 'F1-F6: fail\n  F1: witness [1, 1]\n', id="to-top-BAD"),
+    pytest.param(["to-top", "BAD", "--json"], 1, (
+        '{"command": "to-top", "passed": false, "violations": [{"axiom": "F1", "witness": [1, 1]}]}\n'
+    ), id="to-top-BAD-json"),
+    pytest.param(["from-top", "T1"], 0, (
+        '{\n  "R": [\n    [\n      0\n    ]\n  ],\n  "d": [\n    [\n'
+        '      0,\n      0,\n      0\n    ]\n  ],\n  "m": [\n    [\n'
+        '      0,\n      0,\n      0\n    ]\n  ],\n  "nA": 1,\n  "nB": 1,\n'
+        '  "p": [\n    0\n  ],\n  "s": [\n    0\n  ]\n}\n'
+    ), id="from-top-T1"),
+    pytest.param(["from-top", "T1", "--json"], 0, (
+        '{"R": [[0]], "d": [[0, 0, 0]], "m": [[0, 0, 0]], "nA": 1, "nB": 1, "p": [0], "s": [0]}\n'
+    ), id="from-top-T1-json"),
+    pytest.param(["from-top", "TBAD"], 1, (
+        'topology axioms: fail\n  empty: witness []\n'
+        '  full: witness [[0, 1]]\n  union: witness [[0], [1]]\n'
+        '  intersection: witness [[0], [1]]\n'
+    ), id="from-top-TBAD"),
+    pytest.param(["from-top", "TBAD", "--json"], 1, (
+        '{"command": "from-top", "passed": false, "violations": [{"axiom": "empty", "witness": []}, {"axiom": "full", "witness": [[0, 1]]}, {"axiom": "union", "witness": [[0], [1]]}, {"axiom": "intersection", "witness": [[0], [1]]}]}\n'
+    ), id="from-top-TBAD-json"),
+    pytest.param(["umap", "G"], 0, 'u: [1, 0]\nR0[0]: [0, 1]\nR0[1]: [1]\n', id="umap-G"),
+    pytest.param(["umap", "G", "--json"], 0, '{"R0": [[0, 1], [1]], "command": "umap", "u": [1, 0]}\n', id="umap-G-json"),
+    pytest.param(["umap", "BADBARE"], 1, 'F1-F3: fail\n  F1: witness [1, 1]\n', id="umap-BADBARE"),
+    pytest.param(["umap", "BADBARE", "--json"], 1, (
+        '{"command": "umap", "passed": false, "violations": [{"axiom": "F1", "witness": [1, 1]}]}\n'
+    ), id="umap-BADBARE-json"),
+    pytest.param(["umap", "NOMIN"], 1, 'no fiber-minimum section exists\n', id="umap-NOMIN"),
+    pytest.param(["umap", "NOMIN", "--json"], 1, '{"R0": null, "command": "umap", "u": null}\n', id="umap-NOMIN-json"),
+    pytest.param(["equiv", "G", "G"], 0, 'phi: [0, 1, 2]\ngamma: [0, 1, 2]\n', id="equiv-G-G"),
+    pytest.param(["equiv", "G", "G", "--json"], 0, (
+        '{"command": "equiv", "witness": {"gamma": [0, 1, 2], "phi": [0, 1, 2]}}\n'
+    ), id="equiv-G-G-json"),
+    pytest.param(["equiv", "D", "I"], 1, 'no equivalence witness exists\n', id="equiv-D-I"),
+    pytest.param(["equiv", "D", "I", "--json"], 1, '{"command": "equiv", "witness": null}\n', id="equiv-D-I-json"),
+    pytest.param(["compose", "G", "G", "G", "M", "M"], 0, (
+        '{"f": [1, 1], "fstar": [[0, 0, 1], [0, 1, 2], [2, 0, 1], [2, 1, 2]]}\n'
+    ), id="compose-G-G-G-M-M"),
+    pytest.param(["compose", "G", "G", "G", "M", "M", "--json"], 0, (
+        '{"f": [1, 1], "fstar": [[0, 0, 1], [0, 1, 2], [2, 0, 1], [2, 1, 2]]}\n'
+    ), id="compose-G-G-G-M-M-json"),
+    pytest.param(["compose", "G", "G", "G", "MBAD", "M"], 1, 'input morphisms fail verification\n  M1: witness [0, 0]\n', id="compose-G-G-G-MBAD-M"),
+    pytest.param(["compose", "G", "G", "G", "MBAD", "M", "--json"], 1, (
+        '{"command": "compose", "first": {"passed": false, "violations": [{"axiom": "M1", "witness": [0, 0]}]}, "passed": false, "second": {"passed": true, "violations": []}}\n'
+    ), id="compose-G-G-G-MBAD-M-json"),
+    pytest.param(["compose", "G", "G", "G", "M", "MBAD"], 1, 'input morphisms fail verification\n  M1: witness [0, 0]\n', id="compose-G-G-G-M-MBAD"),
+    pytest.param(["compose", "G", "G", "G", "M", "MBAD", "--json"], 1, (
+        '{"command": "compose", "first": {"passed": true, "violations": []}, "passed": false, "second": {"passed": false, "violations": [{"axiom": "M1", "witness": [0, 0]}]}}\n'
+    ), id="compose-G-G-G-M-MBAD-json"),
+    pytest.param(["roundtrip", "--mode", "gf", "G"], 0, 'seed: 0\ngf round-trip: 1 verified witness(es)\n', id="roundtrip-mode-gf-G"),
+    pytest.param(["roundtrip", "--mode", "gf", "G", "--json"], 0, (
+        '{"checked": 1, "command": "roundtrip", "mode": "gf", "seed": 0, "witnesses": [{"gamma": [0, 1, 0], "phi": [0, 1, 2]}]}\n'
+    ), id="roundtrip-mode-gf-G-json"),
+    pytest.param(["roundtrip", "--mode", "gf", "BAD"], 1, 'F1-F6: fail\n  F1: witness [1, 1]\n', id="roundtrip-mode-gf-BAD"),
+    pytest.param(["roundtrip", "--mode", "gf", "BAD", "--json"], 1, (
+        '{"command": "roundtrip", "mode": "gf", "passed": false, "violations": [{"axiom": "F1", "witness": [1, 1]}]}\n'
+    ), id="roundtrip-mode-gf-BAD-json"),
+    pytest.param(["roundtrip", "--mode", "gf", "--random", "2", "--seed", "3"], 0, 'seed: 3\ngf round-trip: 2 verified witness(es)\n', id="roundtrip-mode-gf-random-2-seed-3"),
+    pytest.param(["roundtrip", "--mode", "gf", "--random", "2", "--seed", "3", "--json"], 0, (
+        '{"checked": 2, "command": "roundtrip", "mode": "gf", "seed": 3, "witnesses": 2}\n'
+    ), id="roundtrip-mode-gf-random-2-seed-3-json"),
+
+])
+def test_pinned_output(argv, code, stdout, tmp_path, capsys):
+    """Prose and --json output of the pass and fail branches, word for word."""
+    paths = {name: write(tmp_path, f"{name}.json", doc) for name, doc in PINNED_FILES.items()}
+    assert main([paths.get(a, a) for a in argv]) == code
+    assert capsys.readouterr() == (stdout, "")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -184,8 +295,16 @@ def test_oversized_base_exits_two(command, doc, tmp_path, capsys):
         (["roundtrip", "--mode", "gf", "--all-n", "2"], "error: --all-n applies to fg mode only"),
         (["roundtrip", "--mode", "fg", "T", "--all-n", "2"], "error: fg mode takes an input file or --all-n, not both"),
         (["roundtrip", "--mode", "fg", "--random", "3"], "error: --random applies to gf mode only"),
+        (["roundtrip", "--mode", "gf", "--random", "2", "--algorithm", "brute"],
+         "error: --algorithm applies to fg mode only"),
+        (["roundtrip", "--mode", "fg", "--all-n", "2", "--seed", "5"], "error: --seed applies to gf mode only"),
+        (["enum-top", "-1"], "argument n: expected a non-negative integer, got '-1'"),
+        (["roundtrip", "--mode", "fg", "--all-n", "-1"], "argument --all-n: expected a non-negative integer, got '-1'"),
     ],
-    ids=["argv0", "argv1", "argv2", "gf-file-and-random", "gf-all-n", "fg-file-and-all-n", "fg-random"],
+    ids=[
+        "argv0", "argv1", "argv2", "gf-file-and-random", "gf-all-n", "fg-file-and-all-n", "fg-random",
+        "gf-algorithm", "fg-seed", "enum-top-negative", "fg-all-n-negative",
+    ],
 )
 def test_negative_counts_exit_two(argv, message, sierpinski_top, sierpinski_g, capsys):
     argv = [{"G": sierpinski_g, "T": sierpinski_top}.get(a, a) for a in argv]
