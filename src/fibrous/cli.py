@@ -138,7 +138,7 @@ def _cmd_to_top(args) -> int:
     rep = check_axioms(X, w, verbose=args.verbose)
     if not rep.passed:
         return _verdict(args, "to-top", rep, ["F1-F6: fail"])
-    T = functor_F_obj(X, w, algorithm=args.algorithm, brute_limit=args.brute_limit)
+    T = functor_F_obj(X, args.algorithm)
     prose = [f"topology on {T.nB} points, {len(T.opens)} open sets:"]
     prose += [f"  {to_points(u)}" for u in T.opens]
     return _emit(args, EXIT_OK, topology_to_json(T), prose)
@@ -228,21 +228,21 @@ def _cmd_roundtrip(args) -> int:
         rep = check_axioms(X, w)
         if not rep.passed:
             return _verdict(args, "roundtrip", rep, ["F1-F6: fail"], mode="gf")
-        pairs = [(X, w)]
+        carriers = [X]
     else:
-        pairs = [random_spatial_preorder(seed + i) for i in range(source)]
+        carriers = [random_spatial_preorder(seed + i)[0] for i in range(source)]
     witnesses = []
-    for X, w in pairs:
-        wit = roundtrip_GF(X, w)
+    for X in carriers:
+        wit = roundtrip_GF(X)
         witnesses.append({"phi": list(wit.phi), "gamma": list(wit.gamma)})
     obj = {
         "command": "roundtrip",
         "mode": "gf",
         "seed": seed,
-        "checked": len(pairs),
+        "checked": len(carriers),
         "witnesses": witnesses if source is None else len(witnesses),
     }
-    prose = [f"seed: {seed}", f"gf round-trip: {len(pairs)} verified witness(es)"]
+    prose = [f"seed: {seed}", f"gf round-trip: {len(carriers)} verified witness(es)"]
     return _emit(args, EXIT_OK, obj, prose)
 
 
@@ -311,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("to-top", parents=[common], help="induced topology of a spatial instance")
     s.add_argument("input")
     s.add_argument("--algorithm", choices=("union-closure", "brute"), default="union-closure")
-    s.add_argument("--brute-limit", type=int, default=20, help="point limit for the brute algorithm")
     s.set_defaults(handler=_cmd_to_top)
 
     s = sub.add_parser("from-top", parents=[common], help="carrier of (open set, point) pairs of a topology")

@@ -154,13 +154,6 @@ def check_axioms(
     return col.report()
 
 
-def neighborhood(X: FinFibrousPreorder, a: int) -> int:
-    """Bitset of points related to element ``a``."""
-    if not 0 <= a < X.nA:
-        raise IndexError(f"element {a} out of range 0..{X.nA - 1}")
-    return X.R[a]
-
-
 def _cover(src: FinFibrousPreorder, dst: FinFibrousPreorder) -> tuple[int, ...] | None:
     # For each src element, least dst element over the same point whose
     # neighborhood is contained in the src neighborhood.

@@ -25,6 +25,8 @@ from .morphisms import FibrousMorphism
 from .report import AxiomReport, Collector, StructureError
 from .topology import FiniteTopology, union_closure, validate_topology
 
+BRUTE_LIMIT = 20  # the brute-force F walks all 2**nB point subsets
+
 
 class NotContinuousError(ValueError):
     """A point map failed the continuity check; carries the witness open set."""
@@ -114,26 +116,21 @@ def functor_G_mor(
     return FibrousMorphism(f, fstar)
 
 
-def functor_F_obj(
-    X: FinFibrousPreorder,
-    w: SpatialWitness | None = None,
-    algorithm: str = "union-closure",
-    brute_limit: int = 20,
-) -> FiniteTopology:
+def functor_F_obj(X: FinFibrousPreorder, algorithm: str = "union-closure") -> FiniteTopology:
     """Topology induced by a spatial carrier (assumed to pass F1-F6).
 
     ``union-closure`` takes all unions of element neighborhoods; ``brute``
     tests every point subset for the defining condition (each member point
     must carry an element whose neighborhood stays inside).  The two agree
-    on every valid input; ``brute`` is guarded by ``brute_limit``.
+    on every valid input; ``brute`` is limited to :data:`BRUTE_LIMIT` points.
     """
     if algorithm == "union-closure":
         return FiniteTopology(X.nB, union_closure(X.R))
     if algorithm != "brute":
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    if X.nB > brute_limit:
+    if X.nB > BRUTE_LIMIT:
         raise ValueError(
-            f"brute algorithm limited to {brute_limit} points (have {X.nB})"
+            f"brute algorithm limited to {BRUTE_LIMIT} points (have {X.nB})"
         )
     opens = []
     for cand in range(1 << X.nB):
@@ -148,7 +145,7 @@ def functor_F_obj(
 def roundtrip_FG(T: FiniteTopology, algorithm: str = "union-closure") -> AxiomReport:
     """Assert that converting ``T`` to a carrier and back reproduces it exactly."""
     gi = functor_G_obj(T)
-    back = functor_F_obj(gi.X, gi.w, algorithm)
+    back = functor_F_obj(gi.X, algorithm)
     col = Collector()
     if back.opens != T.opens:
         missing = [to_points(u) for u in T.opens if u not in set(back.opens)]
@@ -157,7 +154,7 @@ def roundtrip_FG(T: FiniteTopology, algorithm: str = "union-closure") -> AxiomRe
     return col.report()
 
 
-def roundtrip_GF(X: FinFibrousPreorder, w: SpatialWitness) -> EquivalenceWitness:
+def roundtrip_GF(X: FinFibrousPreorder) -> EquivalenceWitness:
     """Equivalence witness between ``X`` and the carrier of its topology.
 
     ``phi`` sends an element to the pair (its neighborhood, its point) --
@@ -165,7 +162,7 @@ def roundtrip_GF(X: FinFibrousPreorder, w: SpatialWitness) -> EquivalenceWitness
     least-index element over the point whose neighborhood fits inside the
     open set.  The witness is verified before being returned.
     """
-    T = functor_F_obj(X, w)
+    T = functor_F_obj(X)
     gbar = functor_G_obj(T)
     try:
         phi = tuple(gbar.index[(X.R[a], X.p[a])] for a in range(X.nA))

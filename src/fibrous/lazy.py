@@ -35,7 +35,6 @@ class NeighborhoodOracle:
     meet: Callable
     point_sampler: Callable[[int], Iterator]
     element_sampler: Callable[[int], Iterator]
-    point_eq: Callable = operator.eq
 
 
 def sample_check(
@@ -56,7 +55,6 @@ def sample_check(
     col = Collector(verbose)
     elems = oracle.element_sampler(2 * seed)
     points = oracle.point_sampler(2 * seed + 1)
-    eq = oracle.point_eq
     for rnd in range(n_samples):
         a = next(elems)
         a2 = next(elems)
@@ -68,27 +66,27 @@ def sample_check(
             col.add("F2", base | {"a": a})
         else:
             pairs = [(a, xa)]
-            if not eq(y, xa) and oracle.rel(a, y):
+            if y != xa and oracle.rel(a, y):
                 pairs.append((a, y))
             for src, tgt in pairs:
                 b = oracle.delta(src, tgt)
                 wit = base | {"a": src, "y": tgt, "delta": b}
-                if not eq(oracle.proj(b), tgt):
+                if oracle.proj(b) != tgt:
                     col.add("F1", wit)
                 if oracle.rel(b, z) and not oracle.rel(src, z):
                     col.add("F3", wit | {"z": z})
         u = oracle.unit(y)
-        if not eq(oracle.proj(u), y):
+        if oracle.proj(u) != y:
             col.add("F4", base | {"y": y, "unit": u})
         mates = [oracle.unit(xa)]
         if oracle.rel(a2, xa):
             mates.append(oracle.delta(a2, xa))
-        elif eq(oracle.proj(a2), xa):
+        elif oracle.proj(a2) == xa:
             mates.append(a2)
         for mate in mates:
             c = oracle.meet(a, mate)
             wit = base | {"a": a, "a2": mate, "meet": c}
-            if not eq(oracle.proj(c), xa):
+            if oracle.proj(c) != xa:
                 col.add("F5", wit)
             if oracle.rel(c, z) and not (oracle.rel(a, z) and oracle.rel(mate, z)):
                 col.add("F6", wit | {"z": z})
@@ -242,7 +240,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def mk_padic(p: int, index_max: int = 4, span: int = 10**4) -> NeighborhoodOracle:
+def mk_padic(p: int) -> NeighborhoodOracle:
     """Congruence-modulo-``p**n`` neighborhoods on the integers.
 
     The refinement simply recenters the congruence class; meets add the
@@ -262,9 +260,8 @@ def mk_padic(p: int, index_max: int = 4, span: int = 10**4) -> NeighborhoodOracl
         f"padic:{p}",
         relates,
         refine,
-        lambda rng: rng.randint(-span, span),
+        lambda rng: rng.randint(-10**4, 10**4),
         op=operator.add,
-        index_max=index_max,
     )
 
 
@@ -324,7 +321,7 @@ class Word:
         return f"Word({pre}|{per})"
 
 
-def mk_cantor(index_max: int = 5, max_pre: int = 4, max_per: int = 4) -> NeighborhoodOracle:
+def mk_cantor() -> NeighborhoodOracle:
     """Prefix-agreement neighborhoods on eventually periodic words:
     ``rel((n, u), w)`` iff the first ``n`` letters coincide."""
 
@@ -337,11 +334,11 @@ def mk_cantor(index_max: int = 5, max_pre: int = 4, max_per: int = 4) -> Neighbo
         return n
 
     def draw(rng):
-        pre = tuple(rng.choice((0, 2)) for _ in range(rng.randint(0, max_pre)))
-        per = tuple(rng.choice((0, 2)) for _ in range(rng.randint(1, max_per)))
+        pre = tuple(rng.choice((0, 2)) for _ in range(rng.randint(0, 4)))
+        per = tuple(rng.choice((0, 2)) for _ in range(rng.randint(1, 4)))
         return Word(pre, per)
 
-    return mk_indexed_family("cantor", relates, refine, draw, index_max=index_max)
+    return mk_indexed_family("cantor", relates, refine, draw, index_max=5)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +369,7 @@ def _min_shrink(n: int, D: Fraction, scale: int) -> int:
     return lo
 
 
-def mk_tangent_disk(strict_paper: bool = False, index_max: int = 4) -> NeighborhoodOracle:
+def mk_tangent_disk(strict_paper: bool = False) -> NeighborhoodOracle:
     """Rational half-plane with radius-1/n neighborhoods.
 
     Interior points get open Euclidean balls (membership decided on squared
@@ -432,7 +429,6 @@ def mk_tangent_disk(strict_paper: bool = False, index_max: int = 4) -> Neighborh
         relates,
         refine,
         draw,
-        index_max=index_max,
         draw_element_point=draw_interior if strict_paper else None,
     )
     # the section, like the relation, rejects points below the axis
@@ -446,10 +442,8 @@ def mk_tangent_disk(strict_paper: bool = False, index_max: int = 4) -> Neighborh
 class GroupDescription:
     """Abelian group data: ``nsum(n, x)`` is the n-fold sum of ``x``."""
 
-    name: str
     zero: object
     add: Callable
-    neg: Callable
     nsum: Callable
     draw_point: Callable
 
@@ -459,8 +453,9 @@ def norm_step_index(v) -> int:
 
     With ``k`` the unique integer whose reciprocal steps bracket the norm
     (``1/(k+1) <= |v| < 1/k``), returns the least index whose reciprocal is
-    strictly below ``1/k - |v|``.  Defined for ``0 < |v| < 1``; returns 1 at
-    zero by convention (never consulted there by the refinement).
+    strictly below ``1/k - |v|``, which is :func:`_ball_index` of ``k`` and
+    ``|v|``.  Defined for ``0 < |v| < 1``; returns 1 at zero by convention
+    (never consulted there by the refinement).
     """
     q = max(abs(c) for c in v)
     if q == 0:
@@ -471,8 +466,7 @@ def norm_step_index(v) -> int:
     k = inv.numerator // inv.denominator
     if inv.denominator == 1:
         k -= 1
-    r = 1 / (Fraction(1, k) - q)
-    return r.numerator // r.denominator + 1
+    return _ball_index(k, q)
 
 
 def normed_q(dim: int) -> NeighborhoodOracle:
@@ -573,7 +567,6 @@ def check_modulus(
     col = Collector(verbose)
     elems = mor.target.element_sampler(2 * seed)
     points = mor.source.point_sampler(2 * seed + 1)
-    eq = mor.source.point_eq
     for rnd in range(n_samples):
         n = next(elems)[0]
         y = next(points)
@@ -581,7 +574,7 @@ def check_modulus(
         a_prime = (n, mor.f(y))
         b = mor.lift(a_prime, y)
         wit = {"seed": seed, "round": rnd, "n": n, "y": y, "lift": b}
-        if not eq(mor.source.proj(b), y):
+        if mor.source.proj(b) != y:
             col.add("M1", wit)
         if mor.source.rel(b, z) and not mor.target.rel(a_prime, mor.f(z)):
             col.add("M2", wit | {"z": z})

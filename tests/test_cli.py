@@ -459,8 +459,19 @@ def test_base_size_mismatch_exits_two(tmp_path, sierpinski_g, capsys):
 
 
 def test_oversized_brute_exits_two(tmp_path, sierpinski_g, capsys):
-    assert main(["to-top", sierpinski_g, "--algorithm", "brute", "--brute-limit", "1"]) == 2
-    assert "brute algorithm limited" in capsys.readouterr().err
+    # 21 points, each carrying one element whose neighborhood is the point
+    n = 21
+    ident = list(range(n))
+    fixture = write(tmp_path, "discrete21.json", {
+        "nB": n, "nA": n, "p": ident, "R": [[x] for x in ident],
+        "d": [[x, x, x] for x in ident], "s": ident, "m": [[x, x, x] for x in ident],
+    })
+    assert main(["check", fixture]) == 0
+    capsys.readouterr()
+    assert main(["to-top", fixture, "--algorithm", "brute"]) == 2
+    assert "brute algorithm limited to 20 points" in capsys.readouterr().err
+    assert main(["to-top", sierpinski_g, "--brute-limit", "5"]) == 2
+    assert "--brute-limit" in capsys.readouterr().err
 
 
 def test_stdin_input(monkeypatch, capsys):

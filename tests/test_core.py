@@ -10,7 +10,6 @@ from fibrous import (
     find_equivalence,
     find_umap,
     functor_G_obj,
-    neighborhood,
     preorder_from_json,
     preorder_to_json,
     random_spatial_preorder,
@@ -107,14 +106,10 @@ def test_structural_errors_are_not_violations():
 def test_neighborhood_values():
     gi = functor_G_obj(SIERPINSKI)
     assert gi.labels[0] == (2, 1)
-    assert to_points(neighborhood(gi.X, 0)) == [1]
-    assert to_points(neighborhood(ONE_POINT, 0)) == [0]
+    assert to_points(gi.X.R[0]) == [1]
+    assert to_points(ONE_POINT.R[0]) == [0]
     gi2 = functor_G_obj(INDISCRETE2)
-    assert to_points(neighborhood(gi2.X, 0)) == [0, 1]
-    with pytest.raises(IndexError):
-        neighborhood(gi.X, 3)
-    with pytest.raises(IndexError):
-        neighborhood(gi.X, -1)
+    assert to_points(gi2.X.R[0]) == [0, 1]
 
 
 def test_find_equivalence_identity_on_self():

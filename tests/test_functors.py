@@ -17,7 +17,7 @@ from fibrous import (
     verify_equivalence,
 )
 from fibrous.bitsets import bits, is_subset
-from fibrous.functors import NotContinuousError
+from fibrous.functors import BRUTE_LIMIT, NotContinuousError
 
 SIERPINSKI = FiniteTopology(2, (0, 2, 3))
 
@@ -87,13 +87,12 @@ def test_g_mor_matches_continuity_by_definition():
 
 def test_f_on_g_image_recovers_sierpinski():
     gi = functor_G_obj(SIERPINSKI)
-    assert functor_F_obj(gi.X, gi.w) == SIERPINSKI
+    assert functor_F_obj(gi.X) == SIERPINSKI
 
 
 def test_f_on_one_point_identity():
     X = FinFibrousPreorder(1, 1, (0,), (1,), {(0, 0): 0})
-    w = SpatialWitness((0,), {(0, 0): 0})
-    assert functor_F_obj(X, w) == FiniteTopology(1, (0, 1))
+    assert functor_F_obj(X) == FiniteTopology(1, (0, 1))
 
 
 def test_f_on_order_presented_chain():
@@ -104,14 +103,19 @@ def test_f_on_order_presented_chain():
     X = FinFibrousPreorder(3, 3, (0, 1, 2), R, d)
     w = SpatialWitness((0, 1, 2), {(a, a): a for a in range(3)})
     assert check_axioms(X, w).passed
-    T = functor_F_obj(X, w)
+    T = functor_F_obj(X)
     assert T == FiniteTopology(3, (0, 0b100, 0b110, 0b111))
 
 
 def test_f_brute_guard():
-    X = FinFibrousPreorder(1, 1, (0,), (1,), {(0, 0): 0})
-    with pytest.raises(ValueError):
-        functor_F_obj(X, algorithm="brute", brute_limit=0)
+    # 21 points, each carrying one element whose neighborhood is the point
+    n = BRUTE_LIMIT + 1
+    X = FinFibrousPreorder(n, n, tuple(range(n)), tuple(1 << x for x in range(n)),
+                           {(x, x): x for x in range(n)})
+    w = SpatialWitness(tuple(range(n)), {(x, x): x for x in range(n)})
+    assert check_axioms(X, w).passed
+    with pytest.raises(ValueError, match="brute algorithm limited to 20 points"):
+        functor_F_obj(X, algorithm="brute")
     with pytest.raises(ValueError):
         functor_F_obj(X, algorithm="mystery")
 
@@ -120,11 +124,11 @@ def test_f_algorithms_agree():
     for n in range(4):
         for T in enumerate_topologies(n):
             gi = functor_G_obj(T)
-            assert functor_F_obj(gi.X, gi.w, "brute") == functor_F_obj(gi.X, gi.w)
+            assert functor_F_obj(gi.X, "brute") == functor_F_obj(gi.X)
     for seed in range(40):
-        X, w = random_spatial_preorder(seed)
+        X, _ = random_spatial_preorder(seed)
         if X.nB <= 4:
-            assert functor_F_obj(X, w, "brute") == functor_F_obj(X, w)
+            assert functor_F_obj(X, "brute") == functor_F_obj(X)
 
 
 def test_neighborhoods_satisfy_the_open_condition():
@@ -148,16 +152,15 @@ def test_roundtrip_fg_small_and_discrete4():
 
 def test_roundtrip_gf_one_point():
     X = FinFibrousPreorder(1, 1, (0,), (1,), {(0, 0): 0})
-    w = SpatialWitness((0,), {(0, 0): 0})
-    wit = roundtrip_GF(X, w)
+    wit = roundtrip_GF(X)
     assert wit.phi == (0,) and wit.gamma == (0,)
 
 
 def test_roundtrip_gf_on_g_image_is_bijective():
     gi = functor_G_obj(SIERPINSKI)
-    wit = roundtrip_GF(gi.X, gi.w)
+    wit = roundtrip_GF(gi.X)
     assert sorted(wit.phi) == [0, 1, 2]
-    gbar = functor_G_obj(functor_F_obj(gi.X, gi.w))
+    gbar = functor_G_obj(functor_F_obj(gi.X))
     assert verify_equivalence(gi.X, gbar.X, wit).passed
     for a in range(gi.X.nA):
         # going around the loop stays in the fiber and refines the neighborhood
@@ -168,9 +171,9 @@ def test_roundtrip_gf_on_g_image_is_bijective():
 
 def test_roundtrip_gf_random_instances():
     for seed in range(30):
-        X, w = random_spatial_preorder(seed)
-        wit = roundtrip_GF(X, w)
-        gbar = functor_G_obj(functor_F_obj(X, w))
+        X, _ = random_spatial_preorder(seed)
+        wit = roundtrip_GF(X)
+        gbar = functor_G_obj(functor_F_obj(X))
         rep = verify_equivalence(X, gbar.X, wit)
         assert rep.passed
 

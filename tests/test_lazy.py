@@ -210,10 +210,8 @@ def test_normed_conditions_hold_for_the_shipped_instance():
     from fibrous.lazy import GroupDescription, _draw_q
 
     group = GroupDescription(
-        name="normed-q:1",
         zero=(F(0),),
         add=lambda x, y: (x[0] + y[0],),
-        neg=lambda x: (-x[0],),
         nsum=lambda n, x: (n * x[0],),
         draw_point=lambda rng: (_draw_q(rng),),
     )
@@ -284,10 +282,8 @@ def _normed_q1_group():
     from fibrous.lazy import GroupDescription, _draw_q
 
     return GroupDescription(
-        name="normed-q:1",
         zero=(F(0),),
         add=lambda x, y: (x[0] + y[0],),
-        neg=lambda x: (-x[0],),
         nsum=lambda n, x: (n * x[0],),
         draw_point=lambda rng: (_draw_q(rng),),
     )
