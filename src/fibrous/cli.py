@@ -138,7 +138,7 @@ def _cmd_to_top(args) -> int:
     rep = check_axioms(X, w, verbose=args.verbose)
     if not rep.passed:
         return _verdict(args, "to-top", rep, ["F1-F6: fail"])
-    T = functor_F_obj(X, args.algorithm)
+    T = functor_F_obj(X)
     prose = [f"topology on {T.nB} points, {len(T.opens)} open sets:"]
     prose += [f"  {to_points(u)}" for u in T.opens]
     return _emit(args, EXIT_OK, topology_to_json(T), prose)
@@ -200,7 +200,7 @@ def _cmd_compose(args) -> int:
 def _cmd_roundtrip(args) -> int:
     fg = args.mode == "fg"
     flag, source = ("--all-n", args.all_n) if fg else ("--random", args.random)
-    for name in ("random", "seed") if fg else ("all_n", "algorithm"):
+    for name in ("random", "seed") if fg else ("all_n",):
         if getattr(args, name) is not None:
             other = "gf" if fg else "fg"
             raise FormatError(f"--{name.replace('_', '-')} applies to {other} mode only")
@@ -209,14 +209,13 @@ def _cmd_roundtrip(args) -> int:
     if not args.input and source is None:
         raise FormatError(f"{args.mode} mode needs an input file or {flag}")
     if fg:
-        algorithm = args.algorithm or "union-closure"
         if source is None:
             tops = [topology_from_json(_load_json(args.input))]
         else:
             tops = enumerate_topologies(source)
         failures = []
         for i, T in enumerate(tops):
-            rep = roundtrip_FG(T, algorithm=algorithm)
+            rep = roundtrip_FG(T)
             if not rep.passed:
                 failures.append({"instance": i, **rep.to_json()})
         obj = {"command": "roundtrip", "mode": "fg", "checked": len(tops), "failures": failures}
@@ -225,7 +224,7 @@ def _cmd_roundtrip(args) -> int:
     seed = 0 if args.seed is None else args.seed
     if source is None:
         X, w = _load_spatial(args.input)
-        rep = check_axioms(X, w)
+        rep = check_axioms(X, w, verbose=args.verbose)
         if not rep.passed:
             return _verdict(args, "roundtrip", rep, ["F1-F6: fail"], mode="gf")
         carriers = [X]
@@ -310,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("to-top", parents=[common], help="induced topology of a spatial instance")
     s.add_argument("input")
-    s.add_argument("--algorithm", choices=("union-closure", "brute"), default="union-closure")
     s.set_defaults(handler=_cmd_to_top)
 
     s = sub.add_parser("from-top", parents=[common], help="carrier of (open set, point) pairs of a topology")
@@ -340,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--all-n", type=_count, help="fg: run on every topology with this many points")
     s.add_argument("--random", type=_count, help="gf: run on this many seeded random instances")
     s.add_argument("--seed", type=int)
-    s.add_argument("--algorithm", choices=("union-closure", "brute"))
     s.set_defaults(handler=_cmd_roundtrip)
 
     s = sub.add_parser("enum-top", parents=[common], help="enumerate all topologies on n points")

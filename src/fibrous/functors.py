@@ -1,9 +1,10 @@
 """The two conversions between finite topologies and spatial carriers.
 
 ``functor_G_obj`` turns a topology into the carrier of (open set, point)
-pairs; ``functor_F_obj`` turns a spatial carrier back into a topology, either
-by closing the neighborhood sets under unions or by brute-force testing of
-every point subset.  Both round trips are checkable:
+pairs; ``functor_F_obj`` turns a spatial carrier back into a topology by
+closing the neighborhood sets under unions, and ``functor_F_obj_brute`` is an
+independent oracle for it that tests every point subset.  Both round trips
+are checkable:
 ``roundtrip_FG`` asserts exact recovery of a topology, ``roundtrip_GF``
 produces a verified equivalence witness.
 """
@@ -23,7 +24,7 @@ from .core import (
 )
 from .morphisms import FibrousMorphism
 from .report import AxiomReport, Collector, StructureError
-from .topology import FiniteTopology, union_closure, validate_topology
+from .topology import FiniteTopology, meet_closure, union_closure, validate_topology
 
 BRUTE_LIMIT = 20  # the brute-force F walks all 2**nB point subsets
 
@@ -116,18 +117,17 @@ def functor_G_mor(
     return FibrousMorphism(f, fstar)
 
 
-def functor_F_obj(X: FinFibrousPreorder, algorithm: str = "union-closure") -> FiniteTopology:
-    """Topology induced by a spatial carrier (assumed to pass F1-F6).
+def functor_F_obj(X: FinFibrousPreorder) -> FiniteTopology:
+    """Topology induced by a spatial carrier (assumed to pass F1-F6): all
+    unions of element neighborhoods."""
+    return FiniteTopology(X.nB, union_closure(X.R))
 
-    ``union-closure`` takes all unions of element neighborhoods; ``brute``
-    tests every point subset for the defining condition (each member point
-    must carry an element whose neighborhood stays inside).  The two agree
-    on every valid input; ``brute`` is limited to :data:`BRUTE_LIMIT` points.
-    """
-    if algorithm == "union-closure":
-        return FiniteTopology(X.nB, union_closure(X.R))
-    if algorithm != "brute":
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+
+def functor_F_obj_brute(X: FinFibrousPreorder) -> FiniteTopology:
+    """Oracle for :func:`functor_F_obj`: test every point subset for the
+    defining condition (each member point must carry an element whose
+    neighborhood stays inside).  The two agree on every valid input; this
+    one is limited to :data:`BRUTE_LIMIT` points."""
     if X.nB > BRUTE_LIMIT:
         raise ValueError(
             f"brute algorithm limited to {BRUTE_LIMIT} points (have {X.nB})"
@@ -142,10 +142,10 @@ def functor_F_obj(X: FinFibrousPreorder, algorithm: str = "union-closure") -> Fi
     return FiniteTopology(X.nB, tuple(opens))
 
 
-def roundtrip_FG(T: FiniteTopology, algorithm: str = "union-closure") -> AxiomReport:
+def roundtrip_FG(T: FiniteTopology) -> AxiomReport:
     """Assert that converting ``T`` to a carrier and back reproduces it exactly."""
     gi = functor_G_obj(T)
-    back = functor_F_obj(gi.X, algorithm)
+    back = functor_F_obj(gi.X)
     col = Collector()
     if back.opens != T.opens:
         missing = [to_points(u) for u in T.opens if u not in set(back.opens)]
@@ -180,20 +180,12 @@ def roundtrip_GF(X: FinFibrousPreorder) -> EquivalenceWitness:
     return witness
 
 
-def _random_topology(rng: Random, nB: int) -> list[int]:
+def _random_topology(rng: Random, nB: int) -> tuple[int, ...]:
     full = full_mask(nB)
     fam = {0, full}
     for _ in range(rng.randint(0, 3)):
         fam.add(rng.randrange(full + 1))
-    while True:
-        new = set()
-        for u in fam:
-            for v in fam:
-                new.add(u | v)
-                new.add(u & v)
-        if new <= fam:
-            return sorted(fam)
-        fam |= new
+    return union_closure(meet_closure(fam))
 
 
 def random_spatial_preorder(
@@ -213,15 +205,8 @@ def random_spatial_preorder(
         opens = _random_topology(rng, nB)
         nonempty = [u for u in opens if u]
         k = rng.randint(0, min(3, len(nonempty)))
-        sigma = {full_mask(nB)} | set(rng.sample(nonempty, k))
-        while True:
-            derived = {
-                u & v for u in sigma for v in sigma if u & v
-            }
-            if derived <= sigma:
-                break
-            sigma |= derived
-        base = [(u, x) for u in sorted(sigma) for x in bits(u)]
+        sigma = meet_closure({full_mask(nB), *rng.sample(nonempty, k)})
+        base = [(u, x) for u in sigma if u for x in bits(u)]
         if len(base) > max_elements:
             continue
         elems = list(base)

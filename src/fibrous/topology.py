@@ -89,6 +89,14 @@ def union_closure(masks) -> tuple[int, ...]:
     return tuple(sorted(closed))
 
 
+def meet_closure(masks) -> tuple[int, ...]:
+    """All intersections of nonempty subfamilies of ``masks``."""
+    closed = set()
+    for m in set(masks):
+        closed |= {c & m for c in closed} | {m}
+    return tuple(sorted(closed))
+
+
 def enumerate_topologies_brute(n: int) -> list[FiniteTopology]:
     """Filter every family of subsets of an ``n``-point set.  n <= 3 only:
     the candidate count is 2^(2^n)."""

@@ -22,6 +22,7 @@ from fibrous import (
     find_equivalence,
     find_umap,
     functor_F_obj,
+    functor_F_obj_brute,
     functor_G_mor,
     functor_G_obj,
     named_instance,
@@ -116,12 +117,12 @@ def test_criterion_3_functor_f_oracle_equivalence():
     checked = 0
     for T in _all_topologies():
         gi = functor_G_obj(T)
-        assert functor_F_obj(gi.X, "brute") == functor_F_obj(gi.X)
+        assert functor_F_obj_brute(gi.X) == functor_F_obj(gi.X)
         checked += 1
     for seed in range(100):
         X, _ = random_spatial_preorder(seed)
         if X.nB <= 4:
-            assert functor_F_obj(X, "brute") == functor_F_obj(X)
+            assert functor_F_obj_brute(X) == functor_F_obj(X)
             checked += 1
     print(f"\nACCEPTANCE C3 PASS: brute and union-closure agree on {checked} instances")
 

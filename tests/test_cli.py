@@ -64,8 +64,6 @@ def test_check_corrupted_exits_one(tmp_path, capsys):
 def test_to_top_recovers_topology(tmp_path, sierpinski_g, capsys):
     assert main(["to-top", sierpinski_g, "--json"]) == 0
     assert json.loads(capsys.readouterr().out) == topology_to_json(SIERPINSKI)
-    assert main(["to-top", sierpinski_g, "--algorithm", "brute", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out) == topology_to_json(SIERPINSKI)
 
 
 def test_to_top_requires_witness(tmp_path, capsys):
@@ -176,11 +174,12 @@ def test_oversized_base_exits_two(command, doc, tmp_path, capsys):
 
 # Small instances for the pinned-output test.  G is the carrier of the
 # Sierpinski space with its witness, B the same carrier bare; BAD breaks F1 at
-# (1, 1).  T1 is the one-point topology, TBAD fails every topology axiom but
-# the intersection of its two opens.  D and I are the bare carriers of the
-# discrete and indiscrete topologies on two points, NOMIN a carrier without
-# a fiber-minimum section.  M lifts the constant map 1 on the Sierpinski
-# space; MBAD lifts (0, 0) into the wrong fiber.
+# (1, 1), BAD2 at (1, 1) and (2, 1).  T1 is the one-point topology, TBAD
+# fails every topology axiom but the intersection of its two opens.  D and I
+# are the bare carriers of the discrete and indiscrete topologies on two
+# points, NOMIN a carrier without a fiber-minimum section.  M lifts the
+# constant map 1 on the Sierpinski space; MBAD lifts (0, 0) into the wrong
+# fiber.
 PINNED_G = {
     "nB": 2, "nA": 3, "p": [1, 0, 1], "R": [[1], [0, 1], [0, 1]],
     "d": [[0, 1, 0], [1, 0, 1], [1, 1, 2], [2, 0, 1], [2, 1, 2]],
@@ -190,6 +189,7 @@ PINNED_BAD = {**PINNED_G, "d": [[0, 1, 0], [1, 0, 1], [1, 1, 1], [2, 0, 1], [2, 
 PINNED_FILES = {
     "G": PINNED_G,
     "BAD": PINNED_BAD,
+    "BAD2": {**PINNED_BAD, "d": [[0, 1, 0], [1, 0, 1], [1, 1, 1], [2, 0, 1], [2, 1, 1]]},
     "BADBARE": {k: PINNED_BAD[k] for k in ("nB", "nA", "p", "R", "d")},
     "T1": {"nB": 1, "opens": [[], [0]]},
     "TBAD": {"nB": 2, "opens": [[0], [1]]},
@@ -213,6 +213,9 @@ PINNED_FILES = {
     pytest.param(["check", "BAD", "--json"], 1, (
         '{"axioms": "F1-F6", "command": "check", "passed": false, "violations": [{"axiom": "F1", "witness": [1, 1]}]}\n'
     ), id="check-BAD-json"),
+    pytest.param(["check", "BAD2", "--verbose", "--json"], 1, (
+        '{"axioms": "F1-F6", "command": "check", "passed": false, "violations": [{"axiom": "F1", "witness": [1, 1]}, {"axiom": "F1", "witness": [2, 1]}]}\n'
+    ), id="check-BAD2-verbose-json"),
     pytest.param(["to-top", "G"], 0, 'topology on 2 points, 3 open sets:\n  []\n  [1]\n  [0, 1]\n', id="to-top-G"),
     pytest.param(["to-top", "G", "--json"], 0, '{"nB": 2, "opens": [[], [1], [0, 1]]}\n', id="to-top-G-json"),
     pytest.param(["to-top", "BAD"], 1, 'F1-F6: fail\n  F1: witness [1, 1]\n', id="to-top-BAD"),
@@ -272,6 +275,9 @@ PINNED_FILES = {
     pytest.param(["roundtrip", "--mode", "gf", "BAD", "--json"], 1, (
         '{"command": "roundtrip", "mode": "gf", "passed": false, "violations": [{"axiom": "F1", "witness": [1, 1]}]}\n'
     ), id="roundtrip-mode-gf-BAD-json"),
+    pytest.param(["roundtrip", "--mode", "gf", "BAD2", "--verbose", "--json"], 1, (
+        '{"command": "roundtrip", "mode": "gf", "passed": false, "violations": [{"axiom": "F1", "witness": [1, 1]}, {"axiom": "F1", "witness": [2, 1]}]}\n'
+    ), id="roundtrip-mode-gf-BAD2-verbose-json"),
     pytest.param(["roundtrip", "--mode", "gf", "--random", "2", "--seed", "3"], 0, 'seed: 3\ngf round-trip: 2 verified witness(es)\n', id="roundtrip-mode-gf-random-2-seed-3"),
     pytest.param(["roundtrip", "--mode", "gf", "--random", "2", "--seed", "3", "--json"], 0, (
         '{"checked": 2, "command": "roundtrip", "mode": "gf", "seed": 3, "witnesses": 2}\n'
@@ -296,7 +302,7 @@ def test_pinned_output(argv, code, stdout, tmp_path, capsys):
         (["roundtrip", "--mode", "fg", "T", "--all-n", "2"], "error: fg mode takes an input file or --all-n, not both"),
         (["roundtrip", "--mode", "fg", "--random", "3"], "error: --random applies to gf mode only"),
         (["roundtrip", "--mode", "gf", "--random", "2", "--algorithm", "brute"],
-         "error: --algorithm applies to fg mode only"),
+         "unrecognized arguments: --algorithm"),
         (["roundtrip", "--mode", "fg", "--all-n", "2", "--seed", "5"], "error: --seed applies to gf mode only"),
         (["enum-top", "-1"], "argument n: expected a non-negative integer, got '-1'"),
         (["roundtrip", "--mode", "fg", "--all-n", "-1"], "argument --all-n: expected a non-negative integer, got '-1'"),
@@ -469,7 +475,7 @@ def test_oversized_brute_exits_two(tmp_path, sierpinski_g, capsys):
     assert main(["check", fixture]) == 0
     capsys.readouterr()
     assert main(["to-top", fixture, "--algorithm", "brute"]) == 2
-    assert "brute algorithm limited to 20 points" in capsys.readouterr().err
+    assert "unrecognized arguments: --algorithm brute" in capsys.readouterr().err
     assert main(["to-top", sierpinski_g, "--brute-limit", "5"]) == 2
     assert "--brute-limit" in capsys.readouterr().err
 

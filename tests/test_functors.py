@@ -8,6 +8,7 @@ from fibrous import (
     enumerate_topologies,
     find_umap,
     functor_F_obj,
+    functor_F_obj_brute,
     functor_G_mor,
     functor_G_obj,
     random_spatial_preorder,
@@ -115,20 +116,18 @@ def test_f_brute_guard():
     w = SpatialWitness(tuple(range(n)), {(x, x): x for x in range(n)})
     assert check_axioms(X, w).passed
     with pytest.raises(ValueError, match="brute algorithm limited to 20 points"):
-        functor_F_obj(X, algorithm="brute")
-    with pytest.raises(ValueError):
-        functor_F_obj(X, algorithm="mystery")
+        functor_F_obj_brute(X)
 
 
 def test_f_algorithms_agree():
     for n in range(4):
         for T in enumerate_topologies(n):
             gi = functor_G_obj(T)
-            assert functor_F_obj(gi.X, "brute") == functor_F_obj(gi.X)
+            assert functor_F_obj_brute(gi.X) == functor_F_obj(gi.X)
     for seed in range(40):
         X, _ = random_spatial_preorder(seed)
         if X.nB <= 4:
-            assert functor_F_obj(X, "brute") == functor_F_obj(X)
+            assert functor_F_obj_brute(X) == functor_F_obj(X)
 
 
 def test_neighborhoods_satisfy_the_open_condition():

@@ -12,7 +12,7 @@ from fibrous import (
     validate_topology,
 )
 from fibrous.bitsets import bits
-from fibrous.topology import TOPOLOGY_COUNTS
+from fibrous.topology import TOPOLOGY_COUNTS, meet_closure
 
 SIERPINSKI = FiniteTopology(2, (0, 2, 3))
 
@@ -60,6 +60,12 @@ def test_union_closure():
     assert union_closure([]) == (0,)
     assert union_closure([2, 3]) == (0, 2, 3)
     assert union_closure([1, 2]) == (0, 1, 2, 3)
+
+
+def test_meet_closure():
+    assert meet_closure([]) == ()
+    assert meet_closure([0b011, 0b110]) == (0b010, 0b011, 0b110)
+    assert meet_closure([0b001, 0b010, 0b111]) == (0, 0b001, 0b010, 0b111)
 
 
 def test_generators_agree_up_to_three_points():
