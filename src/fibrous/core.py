@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, product
 
 from .bitsets import bits, from_points, is_subset, to_points
 from .report import AxiomReport, Collector, FormatError, StructureError
@@ -63,18 +64,23 @@ class FinFibrousPreorder:
 def check_table(table: dict, domain, n_values: int, name: str, pairs: str) -> None:
     """Raise :class:`StructureError` unless the keys of ``table`` are exactly
     the keys in ``domain`` and every value lies in ``range(n_values)``;
-    ``pairs`` names the domain in the message."""
-    expected = set(domain)
-    if table.keys() != expected:
+    ``pairs`` names the domain in the message.  ``domain`` yields each key
+    once.  The passes over the entries run in C; the sets of missing and
+    extra keys and the first bad value are built only on failure."""
+    keys = list(domain)
+    if len(keys) != len(table) or not all(map(table.__contains__, keys)):
+        expected = set(keys)
         missing = sorted(expected - table.keys())
         extra = sorted(table.keys() - expected)
         raise StructureError(
             f"{name} table must cover exactly {pairs}"
             f" (missing {missing[:3]}, extra {extra[:3]})"
         )
-    for key, t in table.items():
-        if not 0 <= t < n_values:
-            raise StructureError(f"{name}[{key}]={t} out of range")
+    values = table.values()
+    if values and not (0 <= min(values) and max(values) < n_values):
+        for key, t in table.items():
+            if not 0 <= t < n_values:
+                raise StructureError(f"{name}[{key}]={t} out of range")
 
 
 @dataclass(frozen=True)
@@ -109,7 +115,7 @@ def validate_witness(X: FinFibrousPreorder, w: SpatialWitness) -> None:
     for y, t in enumerate(w.s):
         if not 0 <= t < X.nA:
             raise StructureError(f"s[{y}]={t} out of range")
-    same_fiber = ((a, a2) for fiber in X.fibers for a in fiber for a2 in fiber)
+    same_fiber = chain.from_iterable(product(fiber, repeat=2) for fiber in X.fibers)
     check_table(w.m, same_fiber, X.nA, "m", "the same-fiber pairs")
 
 
@@ -131,27 +137,39 @@ def check_axioms(
     raise :class:`StructureError` instead of being reported as violations.
     """
     col = Collector(verbose)
-    for (a, b), t in sorted(X.d.items()):
-        if X.p[t] != b:
-            col.add("F1", (a, b))
-        escaped = X.R[t] & ~X.R[a]
+    p, R = X.p, X.R
+    found = []
+    for (a, b), t in X.d.items():
+        if p[t] != b:
+            found.append(("F1", (a, b)))
+        escaped = R[t] & ~R[a]
         if escaped:
-            col.add("F3", (a, b, next(bits(escaped))))
+            found.append(("F3", (a, b, next(bits(escaped)))))
+    _add_by_key(col, found)
     for a in range(X.nA):
-        if not X.R[a] >> X.p[a] & 1:
+        if not R[a] >> p[a] & 1:
             col.add("F2", (a,))
     if w is not None:
         validate_witness(X, w)
         for y, t in enumerate(w.s):
-            if X.p[t] != y:
+            if p[t] != y:
                 col.add("F4", (y,))
-        for (a, a2), t in sorted(w.m.items()):
-            if X.p[t] != X.p[a]:
-                col.add("F5", (a, a2))
-            escaped = X.R[t] & ~(X.R[a] & X.R[a2])
+        found = []
+        for (a, a2), t in w.m.items():
+            if p[t] != p[a]:
+                found.append(("F5", (a, a2)))
+            escaped = R[t] & ~(R[a] & R[a2])
             if escaped:
-                col.add("F6", (a, a2, next(bits(escaped))))
+                found.append(("F6", (a, a2, next(bits(escaped)))))
+        _add_by_key(col, found)
     return col.report()
+
+
+def _add_by_key(col: Collector, found: list) -> None:
+    # Tables are walked in row order; reports list witnesses in key order.
+    # The sort is stable, so the violations of one entry keep their order.
+    for tag, witness in sorted(found, key=lambda v: v[1][:2]):
+        col.add(tag, witness)
 
 
 def _cover(src: FinFibrousPreorder, dst: FinFibrousPreorder) -> tuple[int, ...] | None:
@@ -282,18 +300,28 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _all_of(values, cls: type) -> bool:
+    """Whether every value is a ``cls`` and none is a bool.  One subclass
+    test per distinct type, so the pass over the values runs in C."""
+    return all(
+        issubclass(t, cls) and not issubclass(t, bool) for t in set(map(type, values))
+    )
+
+
 def _expect_int_list(obj, key: str) -> list[int]:
     val = obj.get(key)
-    if not isinstance(val, list) or not all(_is_int(v) for v in val):
+    if not isinstance(val, list) or not _all_of(val, int):
         raise FormatError(f'"{key}" must be a list of integers')
     return val
 
 
 def _expect_triples(obj, key: str) -> list[list[int]]:
     val = obj.get(key)
-    if not isinstance(val, list) or not all(
-        isinstance(row, list) and len(row) == 3 and all(_is_int(v) for v in row)
-        for row in val
+    if not (
+        isinstance(val, list)
+        and _all_of(val, list)
+        and set(map(len, val)) <= {3}
+        and _all_of(chain.from_iterable(val), int)
     ):
         raise FormatError(f'"{key}" must be a list of [int, int, int] triples')
     return val
@@ -302,19 +330,24 @@ def _expect_triples(obj, key: str) -> list[list[int]]:
 def _expect_table(obj, key: str) -> dict[tuple[int, int], int]:
     """Read ``[x, y, value]`` rows into a dict; a repeated ``[x, y]`` key is
     a :class:`FormatError`."""
-    table = {}
-    for x, y, t in _expect_triples(obj, key):
-        if (x, y) in table:
-            raise FormatError(f'"{key}" repeats the key [{x}, {y}]')
-        table[(x, y)] = t
+    rows = _expect_triples(obj, key)
+    table = {(x, y): t for x, y, t in rows}
+    if len(table) != len(rows):
+        seen = set()
+        for x, y, _ in rows:
+            if (x, y) in seen:
+                raise FormatError(f'"{key}" repeats the key [{x}, {y}]')
+            seen.add((x, y))
     return table
 
 
 def _expect_point_lists(obj, key: str, n: int) -> tuple[int, ...]:
     """Read a list of point lists over ``0..n-1`` into bitsets."""
     rows = obj.get(key)
-    if not isinstance(rows, list) or not all(
-        isinstance(row, list) and all(_is_int(v) for v in row) for row in rows
+    if not (
+        isinstance(rows, list)
+        and _all_of(rows, list)
+        and _all_of(chain.from_iterable(rows), int)
     ):
         raise FormatError(f'"{key}" must be a list of point lists')
     try:

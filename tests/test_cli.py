@@ -291,6 +291,118 @@ def test_pinned_output(argv, code, stdout, tmp_path, capsys):
     assert capsys.readouterr() == (stdout, "")
 
 
+def _broken_discrete():
+    """G of the discrete topology on three points with three ``d`` rows and
+    three ``m`` rows sent to the element over the same point whose
+    neighborhood is the whole base: F3 fails at three keys, F6 at three."""
+    gi = functor_G_obj(FiniteTopology(3, tuple(range(8))))
+    obj = preorder_to_json(gi.X, gi.w)
+    p, R = obj["p"], obj["R"]
+    full = {p[a]: a for a in range(obj["nA"]) if len(R[a]) == 3}
+    small = [k for k, (a, _, _) in enumerate(obj["d"]) if len(R[a]) < 3]
+    for k in (small[0], small[len(small) // 2], small[-1]):
+        a, y, _ = obj["d"][k]
+        obj["d"][k] = [a, y, full[y]]
+    small = [k for k, (a, a2, _) in enumerate(obj["m"]) if len(set(R[a]) & set(R[a2])) < 3]
+    for k in (small[0], small[len(small) // 2], small[-1]):
+        a, a2, _ = obj["m"][k]
+        obj["m"][k] = [a, a2, full[p[a]]]
+    return obj
+
+
+@pytest.mark.parametrize("name", ["G", "BAD", "BAD2", "BROKEN"])
+def test_row_order_does_not_change_output(name, tmp_path, capsys):
+    """Rows of d, m and fstar may come in any order: every report lists its
+    witnesses in key order, so shuffled files print the sorted file's bytes."""
+    import random
+
+    docs = {**PINNED_FILES, "BROKEN": _broken_discrete()}
+    runs = [
+        ["check", name, "--verbose", "--json"],
+        ["to-top", name, "--json"],
+        ["roundtrip", "--mode", "gf", name, "--json"],
+        ["umap", name, "--json"],
+        ["compose", "G", "G", "G", "M", "M"],
+        ["compose", "G", "G", "G", "MBAD", "M", "--verbose", "--json"],
+    ]
+
+    def outputs(docs):
+        paths = {k: write(tmp_path, f"{k}.json", docs[k]) for k in (name, "G", "M", "MBAD")}
+        return [(main([paths.get(a, a) for a in argv]), capsys.readouterr()) for argv in runs]
+
+    expected = outputs(docs)
+    if name == "BROKEN":
+        assert [v["axiom"] for v in json.loads(expected[0][1].out)["violations"]] == ["F3"] * 3 + ["F6"] * 3
+    rng = random.Random(name)
+    for _ in range(3):
+        shuffled = {}
+        for k, doc in docs.items():
+            doc = dict(doc)
+            for key in ("d", "m", "fstar"):
+                if key in doc:
+                    doc[key] = rng.sample(doc[key], len(doc[key]))
+            shuffled[k] = doc
+        assert outputs(shuffled) == expected
+
+
+PINNED_M = PINNED_FILES["M"]
+
+
+@pytest.mark.parametrize("doc, message", [
+    pytest.param({**PINNED_G, "d": {}}, '"d" must be a list of [int, int, int] triples', id="d-not-list"),
+    pytest.param({**PINNED_G, "d": [[0, 1, 0], [1, 0]]}, '"d" must be a list of [int, int, int] triples',
+                 id="d-row-length-2"),
+    pytest.param({**PINNED_G, "d": [[0, 1, 0], [1, 0.0, 1]]}, '"d" must be a list of [int, int, int] triples',
+                 id="d-float"),
+    pytest.param({**PINNED_G, "d": [[0, 1, 0], [1, 0, True]]}, '"d" must be a list of [int, int, int] triples',
+                 id="d-true"),
+    pytest.param({**PINNED_G, "m": [[0, 0, 0], [0, 2, 0.5]]}, '"m" must be a list of [int, int, int] triples',
+                 id="m-float"),
+    pytest.param({**PINNED_G, "m": [[0, 0, 0], [True, 2, 0]]}, '"m" must be a list of [int, int, int] triples',
+                 id="m-true"),
+    pytest.param({**PINNED_M, "fstar": [[0, 0, 1.0]]}, '"fstar" must be a list of [int, int, int] triples',
+                 id="fstar-float"),
+    pytest.param({**PINNED_M, "fstar": [[0, 0, 1], [0, True, 2]]},
+                 '"fstar" must be a list of [int, int, int] triples', id="fstar-true"),
+    pytest.param({**PINNED_G, "p": [1, 0, True]}, '"p" must be a list of integers', id="p-true"),
+    pytest.param({**PINNED_G, "s": [True, 2]}, '"s" must be a list of integers', id="s-true"),
+    pytest.param({**PINNED_M, "f": [1, True]}, '"f" must be a list of integers', id="f-true"),
+    pytest.param({**PINNED_G, "R": [[1], [0, 1], [0, 1.0]]}, '"R" must be a list of point lists', id="R-float"),
+    pytest.param({**PINNED_G, "d": [[2, 1, 2], [0, 1, 0], [2, 1, 2], [1, 0, 1], [1, 0, 1], [1, 1, 2], [2, 0, 1]]},
+                 '"d" repeats the key [2, 1]', id="d-repeated-key"),
+    pytest.param({**PINNED_G, "d": [[0, 1, 0], [1, 0, 1], [2, 0, 1], [2, 1, 2]]},
+                 "d table must cover exactly the related pairs (missing [(1, 1)], extra [])", id="d-missing"),
+    pytest.param({**PINNED_G, "m": [*PINNED_G["m"], [0, 1, 0]]},
+                 "m table must cover exactly the same-fiber pairs (missing [], extra [(0, 1)])", id="m-extra"),
+    pytest.param({**PINNED_G, "m": [[0, 0, 0], [2, 2, 2]]},
+                 "m table must cover exactly the same-fiber pairs (missing [(0, 2), (1, 1), (2, 0)], extra [])",
+                 id="m-missing-three"),
+    pytest.param({**PINNED_M, "fstar": [[0, 0, 1], [2, 1, 2], [1, 0, 0], [1, 1, 1]]},
+                 "fstar table must cover exactly the fiber product"
+                 " (missing [(0, 1), (2, 0)], extra [(1, 0), (1, 1)])", id="fstar-missing-and-extra"),
+    pytest.param({**PINNED_G, "d": [[0, 1, 0], [1, 0, 1], [1, 1, 3], [2, 0, 1], [2, 1, 2]]},
+                 "d[(1, 1)]=3 out of range", id="d-out-of-range"),
+    pytest.param({**PINNED_G, "d": [[2, 1, 9], [0, 1, 0], [1, 0, -1], [1, 1, 2], [2, 0, 1]]},
+                 "d[(2, 1)]=9 out of range", id="d-first-bad-row"),
+    pytest.param({**PINNED_G, "m": [[0, 0, -1], [0, 2, 0], [1, 1, 1], [2, 0, 0], [2, 2, 2]]},
+                 "m[(0, 0)]=-1 out of range", id="m-negative"),
+    pytest.param({**PINNED_M, "fstar": [[0, 0, 1], [0, 1, 2], [2, 0, -4], [2, 1, 3]]},
+                 "fstar[(2, 0)]=-4 out of range", id="fstar-negative"),
+])
+def test_pinned_rejection(doc, message, tmp_path, capsys):
+    """Reader and table-domain messages for malformed files, word for word.
+    A morphism file goes in as the first morphism of ``compose``, any other
+    file as the input of ``check``."""
+    path = write(tmp_path, "doc.json", doc)
+    if "f" in doc:
+        g = write(tmp_path, "g.json", PINNED_G)
+        argv = ["compose", g, g, g, path, write(tmp_path, "m.json", PINNED_M)]
+    else:
+        argv = ["check", path]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -464,17 +576,8 @@ def test_base_size_mismatch_exits_two(tmp_path, sierpinski_g, capsys):
     assert "base sizes differ" in capsys.readouterr().err
 
 
-def test_oversized_brute_exits_two(tmp_path, sierpinski_g, capsys):
-    # 21 points, each carrying one element whose neighborhood is the point
-    n = 21
-    ident = list(range(n))
-    fixture = write(tmp_path, "discrete21.json", {
-        "nB": n, "nA": n, "p": ident, "R": [[x] for x in ident],
-        "d": [[x, x, x] for x in ident], "s": ident, "m": [[x, x, x] for x in ident],
-    })
-    assert main(["check", fixture]) == 0
-    capsys.readouterr()
-    assert main(["to-top", fixture, "--algorithm", "brute"]) == 2
+def test_removed_brute_flags_exit_two(sierpinski_g, capsys):
+    assert main(["to-top", sierpinski_g, "--algorithm", "brute"]) == 2
     assert "unrecognized arguments: --algorithm brute" in capsys.readouterr().err
     assert main(["to-top", sierpinski_g, "--brute-limit", "5"]) == 2
     assert "--brute-limit" in capsys.readouterr().err
