@@ -79,11 +79,13 @@ def test_criterion_1_exhaustive_alexandrov_correspondence():
         assert len(brute) == TOPOLOGY_COUNTS[n]
     four = enumerate_topologies_closure(4)
     assert len(four) == TOPOLOGY_COUNTS[4]
+    five = enumerate_topologies(5)
+    assert len(five) == TOPOLOGY_COUNTS[5]
     checked = 0
-    for T in _all_topologies():
+    for T in _all_topologies() + five:
         gi = functor_G_obj(T)
         assert check_axioms(gi.X, gi.w).passed
-        assert roundtrip_FG(T).passed
+        assert roundtrip_FG(T, gi).passed
         res = find_umap(gi.X)
         assert res is not None
         _, R0 = res
@@ -94,7 +96,7 @@ def test_criterion_1_exhaustive_alexandrov_correspondence():
     elapsed = time.time() - start
     assert elapsed < 10.0
     print(
-        f"\nACCEPTANCE C1 PASS: {checked} topologies (counts {TOPOLOGY_COUNTS[1:]}),"
+        f"\nACCEPTANCE C1 PASS: {checked} topologies (counts {TOPOLOGY_COUNTS[1:6]}),"
         f" axioms+FG+umap exact, {elapsed:.2f}s"
     )
 

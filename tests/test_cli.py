@@ -434,6 +434,16 @@ def test_negative_counts_exit_two(argv, message, sierpinski_top, sierpinski_g, c
 
 @pytest.mark.parametrize(
     "argv",
+    [["enum-top", "7"], ["roundtrip", "--mode", "fg", "--all-n", "7"]],
+    ids=["enum-top", "roundtrip-fg"],
+)
+def test_enumeration_limit_exits_two(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: enumeration supports at most 6 points\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
     [["check", "G"], ["to-top", "G"], ["roundtrip", "--mode", "gf", "G"]],
     ids=["check", "to-top", "roundtrip-gf"],
 )

@@ -73,13 +73,23 @@ def test_generators_agree_up_to_three_points():
         brute = enumerate_topologies_brute(n)
         closure = enumerate_topologies_closure(n)
         assert brute == closure
+        assert enumerate_topologies(n) == brute
         assert len(brute) == TOPOLOGY_COUNTS[n]
 
 
+def test_preorder_generator_matches_closure_and_counts():
+    assert enumerate_topologies(4) == enumerate_topologies_closure(4)
+    five = enumerate_topologies(5)
+    assert len(five) == TOPOLOGY_COUNTS[5] == 6942
+    # strictly increasing opens: sorted and pairwise distinct
+    assert all(a.opens < b.opens for a, b in zip(five, five[1:]))
+    assert len(enumerate_topologies(6)) == TOPOLOGY_COUNTS[6] == 209527
+
+
 def test_random_subfamily_closure_generator_agrees():
-    # third generator: close seeded random subfamilies under union and
-    # intersection until fixpoint; 2000 draws cover every topology on <= 3
-    # points (hit latest at draw 157 for n=3 with this seed)
+    # independent random check: close seeded random subfamilies under union
+    # and intersection until fixpoint; 2000 draws cover every topology on
+    # <= 3 points (hit latest at draw 157 for n=3 with this seed)
     import random
 
     def close(fam, n):
@@ -125,8 +135,8 @@ def test_four_point_count_matches_preorder_count():
 
 
 def test_enumeration_guards():
-    with pytest.raises(ValueError):
-        enumerate_topologies(5)
+    with pytest.raises(ValueError, match="at most 6 points"):
+        enumerate_topologies(7)
     with pytest.raises(ValueError):
         enumerate_topologies_brute(4)
     with pytest.raises(ValueError):
@@ -134,7 +144,7 @@ def test_enumeration_guards():
 
 
 def test_enumerated_topologies_all_validate():
-    for n in range(5):
+    for n in range(6):
         for T in enumerate_topologies(n):
             assert validate_topology(T).passed
 
