@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from itertools import chain
 
 from .core import (
     check_axioms,
@@ -247,18 +248,12 @@ def _cmd_roundtrip(args) -> int:
 
 def _cmd_enum_top(args) -> int:
     tops = enumerate_topologies(args.n)
-    obj = {
-        "command": "enum-top",
-        "n": args.n,
-        "count": len(tops),
-        "topologies": [topology_to_json(T) for T in tops],
-    }
-    prose = [f"{len(tops)} topologies on {args.n} points"]
-    if args.verbose:
-        prose += [
-            "  " + " ".join(str(to_points(u)) for u in T.opens) for T in tops
-        ]
-    return _emit(args, EXIT_OK, obj, prose)
+    obj = {"command": "enum-top", "n": args.n, "count": len(tops)}
+    if args.json:
+        obj["topologies"] = [topology_to_json(T) for T in tops]
+    head = [f"{len(tops)} topologies on {args.n} points"]
+    rows = ("  " + " ".join(str(to_points(u)) for u in T.opens) for T in tops)
+    return _emit(args, EXIT_OK, obj, chain(head, rows if args.verbose else ()))
 
 
 def _cmd_sample(args) -> int:

@@ -142,14 +142,9 @@ def functor_F_obj_brute(X: FinFibrousPreorder) -> FiniteTopology:
     return FiniteTopology(X.nB, tuple(opens))
 
 
-def roundtrip_FG(T: FiniteTopology, gi: GImage | None = None) -> AxiomReport:
-    """Assert that converting ``T`` to a carrier and back reproduces it exactly.
-
-    ``gi``, when given, must be ``functor_G_obj(T)``; it is used instead of
-    building the carrier again.
-    """
-    if gi is None:
-        gi = functor_G_obj(T)
+def roundtrip_FG(T: FiniteTopology) -> AxiomReport:
+    """Assert that converting ``T`` to a carrier and back reproduces it exactly."""
+    gi = functor_G_obj(T)
     back = functor_F_obj(gi.X)
     col = Collector()
     if back.opens != T.opens:
