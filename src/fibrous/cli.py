@@ -250,7 +250,8 @@ def _cmd_enum_top(args) -> int:
     tops = enumerate_topologies(args.n)
     obj = {"command": "enum-top", "n": args.n, "count": len(tops)}
     if args.json:
-        obj["topologies"] = [topology_to_json(T) for T in tops]
+        point_lists = [to_points(u) for u in range(1 << args.n)]
+        obj["topologies"] = [topology_to_json(T, point_lists.__getitem__) for T in tops]
     head = [f"{len(tops)} topologies on {args.n} points"]
     rows = ("  " + " ".join(str(to_points(u)) for u in T.opens) for T in tops)
     return _emit(args, EXIT_OK, obj, chain(head, rows if args.verbose else ()))

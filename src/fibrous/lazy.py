@@ -8,9 +8,11 @@ at 1 so that the unit element exists and meets can multiply indices.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import repeat
 from random import Random
 from typing import Callable, Iterator
 
@@ -53,43 +55,49 @@ def sample_check(
     passing report means no violation in ``n_samples`` rounds, not a proof.
     """
     col = Collector(verbose)
+    proj, rel, delta = oracle.proj, oracle.rel, oracle.delta
+    unit, meet = oracle.unit, oracle.meet
     elems = oracle.element_sampler(2 * seed)
     points = oracle.point_sampler(2 * seed + 1)
+    # witness dicts are built only on a violation
     for rnd in range(n_samples):
         a = next(elems)
         a2 = next(elems)
         y = next(points)
         z = next(points)
-        base = {"seed": seed, "round": rnd}
-        xa = oracle.proj(a)
-        if not oracle.rel(a, xa):
-            col.add("F2", base | {"a": a})
+        xa = proj(a)
+        if not rel(a, xa):
+            col.add("F2", {"seed": seed, "round": rnd, "a": a})
         else:
             pairs = [(a, xa)]
-            if y != xa and oracle.rel(a, y):
+            if y != xa and rel(a, y):
                 pairs.append((a, y))
             for src, tgt in pairs:
-                b = oracle.delta(src, tgt)
-                wit = base | {"a": src, "y": tgt, "delta": b}
-                if oracle.proj(b) != tgt:
-                    col.add("F1", wit)
-                if oracle.rel(b, z) and not oracle.rel(src, z):
-                    col.add("F3", wit | {"z": z})
-        u = oracle.unit(y)
-        if oracle.proj(u) != y:
-            col.add("F4", base | {"y": y, "unit": u})
-        mates = [oracle.unit(xa)]
-        if oracle.rel(a2, xa):
-            mates.append(oracle.delta(a2, xa))
-        elif oracle.proj(a2) == xa:
+                b = delta(src, tgt)
+                if proj(b) != tgt:
+                    col.add("F1", {"seed": seed, "round": rnd, "a": src, "y": tgt, "delta": b})
+                if rel(b, z) and not rel(src, z):
+                    col.add(
+                        "F3",
+                        {"seed": seed, "round": rnd, "a": src, "y": tgt, "delta": b, "z": z},
+                    )
+        u = unit(y)
+        if proj(u) != y:
+            col.add("F4", {"seed": seed, "round": rnd, "y": y, "unit": u})
+        mates = [unit(xa)]
+        if rel(a2, xa):
+            mates.append(delta(a2, xa))
+        elif proj(a2) == xa:
             mates.append(a2)
         for mate in mates:
-            c = oracle.meet(a, mate)
-            wit = base | {"a": a, "a2": mate, "meet": c}
-            if oracle.proj(c) != xa:
-                col.add("F5", wit)
-            if oracle.rel(c, z) and not (oracle.rel(a, z) and oracle.rel(mate, z)):
-                col.add("F6", wit | {"z": z})
+            c = meet(a, mate)
+            if proj(c) != xa:
+                col.add("F5", {"seed": seed, "round": rnd, "a": a, "a2": mate, "meet": c})
+            if rel(c, z) and not (rel(a, z) and rel(mate, z)):
+                col.add(
+                    "F6",
+                    {"seed": seed, "round": rnd, "a": a, "a2": mate, "meet": c, "z": z},
+                )
     return col.report()
 
 
@@ -150,18 +158,32 @@ def mk_indexed_family(
     )
 
 
+@functools.cache
+def _q_rows(span: int, den: int) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(
+        tuple(Fraction(num, d) for d in range(1, den + 1)) for num in range(-span, span + 1)
+    )
+
+
 def _draw_q(rng: Random, span: int = 24, den: int = 8) -> Fraction:
-    return Fraction(rng.randint(-span, span), rng.randint(1, den))
+    """``Fraction(randint(-span, span), randint(1, den))`` from a table: each
+    ``choice`` consumes the same ``_randbelow`` draw as the ``randint`` it
+    replaces, numerator first."""
+    return rng.choice(rng.choice(_q_rows(span, den)))
 
 
 # ---------------------------------------------------------------------------
 # metric spaces
+#
+# Distances are unreduced ``(num, den)`` integer pairs with ``den > 0``, so
+# the relations and refinement indices below compare cross-multiplied
+# integers and build no Fractions.
 
-def _ball_index(n: int, d: Fraction) -> int:
-    """Least index ``k`` with ``1/k < 1/n - d``: the refinement index of the
-    radius-``1/n`` ball at a point ``d`` away from its center, which makes
-    the triangle inequality close the F3 implication."""
-    num, den = d.numerator, d.denominator
+def _ball_index(n: int, num: int, den: int) -> int:
+    """Least index ``k`` with ``1/k < 1/n - num/den``: the refinement index
+    of the radius-``1/n`` ball at a point ``num/den`` away from its center,
+    which makes the triangle inequality close the F3 implication.  Scaling
+    ``num`` and ``den`` by one factor leaves the floor division unchanged."""
     if num * n >= den:
         raise ValueError("delta is only defined on related pairs")
     return (n * den) // (den - n * num) + 1
@@ -170,23 +192,36 @@ def _ball_index(n: int, d: Fraction) -> int:
 def mk_metric(name: str, distance: Callable, draw_point: Callable) -> NeighborhoodOracle:
     """Oracle with neighborhoods of radius 1/n.
 
-    ``distance`` must return a Fraction and satisfy the usual three laws
-    (trusted; checkable by sampling).  ``rel((n, x), y)`` iff
+    ``distance(x, y)`` returns the distance as a ``(num, den)`` integer pair
+    with ``den > 0``, not necessarily reduced, and must satisfy the usual
+    three laws (trusted; checkable by sampling).  ``rel((n, x), y)`` iff
     ``d(x, y) < 1/n``; the refinement index is :func:`_ball_index`.
     """
 
     def relates(n, x, y):
-        d = distance(x, y)
-        return d.numerator * n < d.denominator
+        num, den = distance(x, y)
+        return num * n < den
 
     def refine(n, x, y):
-        return _ball_index(n, distance(x, y))
+        return _ball_index(n, *distance(x, y))
 
     return mk_indexed_family(name, relates, refine, draw_point)
 
 
-def _q_distance(x, y):
-    return abs(x - y)
+def _q_distance(x, y) -> tuple[int, int]:
+    """``|x - y|`` of two rationals as an unreduced pair."""
+    xn, xd = x.as_integer_ratio()
+    yn, yd = y.as_integer_ratio()
+    return abs(xn * yd - yn * xd), xd * yd
+
+
+def _max_distance(x, y) -> tuple[int, int]:
+    """Max-norm distance of two rational vectors as an unreduced pair."""
+    best_num, best_den = 0, 1
+    for num, den in map(_q_distance, x, y):
+        if num * best_den > best_num * den:
+            best_num, best_den = num, den
+    return best_num, best_den
 
 
 def metric_q() -> NeighborhoodOracle:
@@ -195,13 +230,10 @@ def metric_q() -> NeighborhoodOracle:
 
 def metric_q2() -> NeighborhoodOracle:
     # max metric keeps distances rational
-    def dist(x, y):
-        return max(abs(x[0] - y[0]), abs(x[1] - y[1]))
-
     def draw(rng):
         return (_draw_q(rng, 8, 4), _draw_q(rng, 8, 4))
 
-    return mk_metric("metric-q2", dist, draw)
+    return mk_metric("metric-q2", _max_distance, draw)
 
 
 def natural_metric() -> NeighborhoodOracle:
@@ -221,7 +253,7 @@ def broken_metric_q() -> NeighborhoodOracle:
 
     def bad_delta(a, y):
         n, x = a
-        return (_ball_index(n, abs(x - y)) - 1, y)
+        return (_ball_index(n, *_q_distance(x, y)) - 1, y)
 
     return replace(metric_q(), name="broken-metric-q", delta=bad_delta)
 
@@ -315,6 +347,13 @@ class Word:
             return self.pre[i - 1]
         return self.per[(i - len(self.pre) - 1) % len(self.per)]
 
+    def prefix(self, n: int) -> tuple[int, ...]:
+        """The first ``n`` letters."""
+        pre, per = self.pre, self.per
+        if n <= len(pre):
+            return pre[:n]
+        return (pre + per * -(-(n - len(pre)) // len(per)))[:n]
+
     def __repr__(self):
         pre = "".join(map(str, self.pre))
         per = "".join(map(str, self.per))
@@ -326,7 +365,7 @@ def mk_cantor() -> NeighborhoodOracle:
     ``rel((n, u), w)`` iff the first ``n`` letters coincide."""
 
     def relates(n, u, w):
-        return all(u.letter(i) == w.letter(i) for i in range(1, n + 1))
+        return u.prefix(n) == w.prefix(n)
 
     def refine(n, u, w):
         if not relates(n, u, w):
@@ -344,17 +383,20 @@ def mk_cantor() -> NeighborhoodOracle:
 # ---------------------------------------------------------------------------
 # the half-plane with disk-tangent boundary neighborhoods
 
-def _dist2(a, b):
-    dx = a[0] - b[0]
-    dy = a[1] - b[1]
-    return dx * dx + dy * dy
+def _norm2(p: int, q: int, r: int, s: int) -> tuple[int, int]:
+    """``(p/q)**2 + (r/s)**2`` as an unreduced pair."""
+    qq, ss = q * q, s * s
+    return p * p * ss + r * r * qq, qq * ss
 
 
-def _min_shrink(n: int, D: Fraction, scale: int) -> int:
-    # least k with scale/k < 1/n and (1/n - scale/k)^2 > D
+def _min_shrink(n: int, D: tuple[int, int], scale: int) -> int:
+    # least k with scale/k < 1/n and (1/n - scale/k)^2 > D, where
+    # 1/n - scale/k = (k - scale*n) / (n*k) is positive from lo on
+    d_num, d_den = D
+
     def fits(k):
-        gap = Fraction(1, n) - Fraction(scale, k)
-        return gap > 0 and gap * gap > D
+        gap = k - scale * n
+        return gap * gap * d_den > d_num * (n * k) ** 2
 
     lo = scale * n + 1
     hi = lo
@@ -380,35 +422,36 @@ def mk_tangent_disk(strict_paper: bool = False) -> NeighborhoodOracle:
     """
 
     def check_point(w):
-        if w[1] < 0:
+        if w[1].numerator < 0:
             raise ValueError("point below the horizontal axis")
         return w
 
-    def radius2(n):
-        return Fraction(1, n * n)
+    def offset(n, c, w):
+        # (dx, dy) from w to the center of the radius-1/n ball at c, as two
+        # (num, den) pairs: c itself, or (c[0], 1/n) for the tangent ball
+        if c[1].numerator > 0 or strict_paper:
+            return _q_distance(c[0], w[0]) + _q_distance(c[1], w[1])
+        wn, wd = w[1].as_integer_ratio()
+        return _q_distance(c[0], w[0]) + (wd - n * wn, n * wd)
 
     def relates(n, c, w):
         check_point(w)
-        if c[1] > 0:
-            return _dist2(c, w) < radius2(n)
-        if strict_paper:
-            return w == c or _dist2(c, w) < radius2(n)
-        return w == c or _dist2((c[0], Fraction(1, n)), w) < radius2(n)
+        if c[1].numerator <= 0 and w == c:
+            return True
+        num, den = _norm2(*offset(n, c, w))
+        return num * n * n < den
 
     def refine(n, c, w):
         if not relates(n, c, w):
             raise ValueError("delta is only defined on related pairs")
         if w == c:
             return n
-        if c[1] > 0:
-            scale = 1 if w[1] > 0 else 2
-            return _min_shrink(n, _dist2(c, w), scale)
-        if strict_paper:
-            if w[1] > 0:
-                return _min_shrink(n, _dist2(c, w), 1)
-            return _ball_index(n, abs(w[0] - c[0]))
-        # w lies strictly inside the tangent ball, hence off the axis
-        return _min_shrink(n, _dist2((c[0], Fraction(1, n)), w), 1)
+        interior, w_interior = c[1].numerator > 0, w[1].numerator > 0
+        if strict_paper and not interior and not w_interior:
+            return _ball_index(n, *_q_distance(w[0], c[0]))
+        # otherwise w lies strictly inside the ball around offset's center
+        scale = 2 if interior and not w_interior else 1
+        return _min_shrink(n, _norm2(*offset(n, c, w)), scale)
 
     def draw(rng):
         x = _draw_q(rng, 6, 4)
@@ -448,6 +491,18 @@ class GroupDescription:
     draw_point: Callable
 
 
+def _norm_index(num: int, den: int) -> int:
+    # norm_step_index of a vector whose max norm is num/den
+    if num == 0:
+        return 1
+    if num >= den:
+        raise ValueError("index map is only defined inside the unit ball")
+    k = den // num
+    if den % num == 0:
+        k -= 1
+    return _ball_index(k, num, den)
+
+
 def norm_step_index(v) -> int:
     """Refinement index for the max-norm unit-ball instance.
 
@@ -457,16 +512,7 @@ def norm_step_index(v) -> int:
     ``|v|``.  Defined for ``0 < |v| < 1``; returns 1 at zero by convention
     (never consulted there by the refinement).
     """
-    q = max(abs(c) for c in v)
-    if q == 0:
-        return 1
-    if q >= 1:
-        raise ValueError("index map is only defined inside the unit ball")
-    inv = 1 / q
-    k = inv.numerator // inv.denominator
-    if inv.denominator == 1:
-        k -= 1
-    return _ball_index(k, q)
+    return _norm_index(*_max_distance(v, repeat(0)))
 
 
 def normed_q(dim: int) -> NeighborhoodOracle:
@@ -482,12 +528,16 @@ def normed_q(dim: int) -> NeighborhoodOracle:
     span, den = (24, 8) if dim == 1 else (8, 4)
 
     def relates(n, x, y):
-        return max(abs(n * (a - b)) for a, b in zip(x, y)) < 1
+        # n * |x_i - y_i| < 1 on every coordinate
+        for num, d in map(_q_distance, x, y):
+            if num * n >= d:
+                return False
+        return True
 
     def refine(n, x, y):
         if x == y:
             return n
-        return norm_step_index(tuple(a - b for a, b in zip(x, y)))
+        return _norm_index(*_max_distance(x, y))
 
     def draw(rng):
         return tuple(_draw_q(rng, span, den) for _ in range(dim))
@@ -573,11 +623,10 @@ def check_modulus(
         z = next(points)
         a_prime = (n, mor.f(y))
         b = mor.lift(a_prime, y)
-        wit = {"seed": seed, "round": rnd, "n": n, "y": y, "lift": b}
         if mor.source.proj(b) != y:
-            col.add("M1", wit)
+            col.add("M1", {"seed": seed, "round": rnd, "n": n, "y": y, "lift": b})
         if mor.source.rel(b, z) and not mor.target.rel(a_prime, mor.f(z)):
-            col.add("M2", wit | {"z": z})
+            col.add("M2", {"seed": seed, "round": rnd, "n": n, "y": y, "lift": b, "z": z})
     return col.report()
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import Callable
 
 from .bitsets import bits, full_mask, is_subset, to_points
 from .core import _expect_point_count, _expect_point_lists, _is_int
@@ -174,8 +175,11 @@ def enumerate_topologies(n: int) -> list[FiniteTopology]:
     return [FiniteTopology(n, opens) for opens in found]
 
 
-def topology_to_json(T: FiniteTopology) -> dict:
-    return {"nB": T.nB, "opens": [to_points(u) for u in T.opens]}
+def topology_to_json(T: FiniteTopology, points: Callable[[int], list[int]] = to_points) -> dict:
+    """``{"nB", "opens"}`` with each open set as its point list.  A caller
+    serializing many topologies passes a lookup into one shared table of
+    point lists, so equal open sets share one list."""
+    return {"nB": T.nB, "opens": list(map(points, T.opens))}
 
 
 def topology_from_json(obj) -> FiniteTopology:

@@ -56,3 +56,10 @@ def test_equality_agrees_with_letterwise_comparison(pre1, per1, pre2, per2):
         w1.letter(i) == w2.letter(i) for i in range(1, horizon + 1)
     )
     assert (w1 == w2) == same_letters
+
+
+@settings(max_examples=200, deadline=None)
+@given(pres, pers, st.integers(0, 30))
+def test_prefix_agrees_with_letters(pre, per, n):
+    w = Word(pre, per)
+    assert w.prefix(n) == tuple(w.letter(i) for i in range(1, n + 1))
