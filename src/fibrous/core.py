@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
 
-from .bitsets import bits, from_points, is_subset, to_points
+from .bitsets import bits, from_points, to_points
 from .report import AxiomReport, Collector, FormatError, StructureError
 
 
@@ -59,6 +59,15 @@ class FinFibrousPreorder:
         for a, x in enumerate(self.p):
             out[x].append(a)
         return tuple(map(tuple, out))
+
+    def least_within(self, x: int, S: int) -> int | None:
+        """The least element over point ``x`` whose neighborhood lies inside
+        the point set ``S``, or ``None`` if there is none."""
+        R = self.R
+        for a in self.fibers[x]:
+            if not R[a] & ~S:
+                return a
+        return None
 
 
 def check_table(table: dict, domain, n_values: int, name: str, pairs: str) -> None:
@@ -175,15 +184,8 @@ def _add_by_key(col: Collector, found: list) -> None:
 def _cover(src: FinFibrousPreorder, dst: FinFibrousPreorder) -> tuple[int, ...] | None:
     # For each src element, least dst element over the same point whose
     # neighborhood is contained in the src neighborhood.
-    out = []
-    for a in range(src.nA):
-        for a2 in dst.fibers[src.p[a]]:
-            if is_subset(dst.R[a2], src.R[a]):
-                out.append(a2)
-                break
-        else:
-            return None
-    return tuple(out)
+    out = tuple(map(dst.least_within, src.p, src.R))
+    return None if None in out else out
 
 
 def find_equivalence(
@@ -251,21 +253,16 @@ def find_umap(
     base when ``X`` passes F1-F3).  ``None`` iff some fiber is empty or has
     no minimum.
     """
+    R = X.R
     u = []
-    for x in range(X.nB):
-        fiber = X.fibers[x]
-        if not fiber:
-            return None
+    for x, fiber in enumerate(X.fibers):
         meet = ~0
         for a in fiber:
-            meet &= X.R[a]
-        for a in fiber:
-            if X.R[a] == meet:
-                u.append(a)
-                break
-        else:
-            return None
-    return tuple(u), tuple(X.R[u[x]] for x in range(X.nB))
+            meet &= R[a]
+        u.append(X.least_within(x, meet))
+    if None in u:
+        return None
+    return tuple(u), tuple(R[a] for a in u)
 
 
 def preorder_to_json(

@@ -39,16 +39,15 @@ class NotContinuousError(ValueError):
 
 @dataclass(frozen=True)
 class GImage:
-    """Carrier built from a topology, with its witness and element labels.
+    """Carrier built from the topology ``T``, with its witness.
 
-    ``labels[a]`` is the (open-set bitset, point) pair of element ``a``; the
-    labelling is injective, the projection returns the point component and
-    the neighborhood equals the open-set component; ``index`` inverts it.
+    Element ``a`` is the (open-set bitset, point) pair ``(X.R[a], X.p[a])``;
+    no two elements share a pair, and ``index`` maps each pair to its element.
     """
 
     X: FinFibrousPreorder
     w: SpatialWitness
-    labels: tuple[tuple[int, int], ...]
+    T: FiniteTopology
     index: dict[tuple[int, int], int] = field(repr=False, compare=False)
 
 
@@ -79,22 +78,18 @@ def functor_G_obj(T: FiniteTopology) -> GImage:
         for i in fiber:
             for j in fiber:
                 m[(i, j)] = index[(R[i] & R[j], x)]
-    return GImage(X, SpatialWitness(s, m), labels, index)
+    return GImage(X, SpatialWitness(s, m), T, index)
 
 
-def functor_G_mor(
-    f,
-    T: FiniteTopology,
-    Tp: FiniteTopology,
-    g_src: GImage | None = None,
-    g_dst: GImage | None = None,
-) -> FibrousMorphism:
-    """Lift a continuous point map ``f: T -> Tp`` to a morphism of carriers.
+def functor_G_mor(f, gi: GImage, gip: GImage) -> FibrousMorphism:
+    """Lift a continuous point map ``f: gi.T -> gip.T`` to a morphism from
+    ``gi.X`` to ``gip.X``.
 
     Continuity (every open's preimage is open) is checked first; a failure
     raises :class:`NotContinuousError` naming the offending open set.  The
     lifting of ``((U', x'), y)`` is ``(preimage of U', y)``.
     """
+    T, Tp = gi.T, gip.T
     f = tuple(f)
     if len(f) != T.nB or any(not 0 <= t < Tp.nB for t in f):
         raise ValueError("point map does not fit the two base sets")
@@ -108,8 +103,6 @@ def functor_G_mor(
         if pre not in opens:
             raise NotContinuousError(to_points(up))
         preimage[up] = pre
-    gi = g_src if g_src is not None else functor_G_obj(T)
-    gip = g_dst if g_dst is not None else functor_G_obj(Tp)
     fstar = {}
     for y in range(T.nB):
         for i in gip.X.fibers[f[y]]:
@@ -134,10 +127,7 @@ def functor_F_obj_brute(X: FinFibrousPreorder) -> FiniteTopology:
         )
     opens = []
     for cand in range(1 << X.nB):
-        if all(
-            any(is_subset(X.R[a], cand) for a in X.fibers[y])
-            for y in bits(cand)
-        ):
+        if all(X.least_within(y, cand) is not None for y in bits(cand)):
             opens.append(cand)
     return FiniteTopology(X.nB, tuple(opens))
 
@@ -148,8 +138,9 @@ def roundtrip_FG(T: FiniteTopology) -> AxiomReport:
     back = functor_F_obj(gi.X)
     col = Collector()
     if back.opens != T.opens:
-        missing = [to_points(u) for u in T.opens if u not in set(back.opens)]
-        extra = [to_points(u) for u in back.opens if u not in set(T.opens)]
+        got, want = set(back.opens), set(T.opens)
+        missing = [to_points(u) for u in T.opens if u not in got]
+        extra = [to_points(u) for u in back.opens if u not in want]
         col.add("FG", {"missing": missing, "extra": extra})
     return col.report()
 

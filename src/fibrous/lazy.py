@@ -339,14 +339,6 @@ class Word:
         object.__setattr__(self, "pre", pre)
         object.__setattr__(self, "per", per)
 
-    def letter(self, i: int) -> int:
-        """1-based position."""
-        if i < 1:
-            raise ValueError("positions are 1-based")
-        if i <= len(self.pre):
-            return self.pre[i - 1]
-        return self.per[(i - len(self.pre) - 1) % len(self.per)]
-
     def prefix(self, n: int) -> tuple[int, ...]:
         """The first ``n`` letters."""
         pre, per = self.pre, self.per

@@ -138,7 +138,7 @@ def test_criterion_4_morphism_laws():
         for j, Tp in enumerate(tops):
             for f in product(range(Tp.nB), repeat=T.nB):
                 try:
-                    m = functor_G_mor(f, T, Tp, g_src=gis[i], g_dst=gis[j])
+                    m = functor_G_mor(f, gis[i], gis[j])
                 except NotContinuousError:
                     continue
                 morphisms.append((i, j, m))
@@ -176,7 +176,7 @@ def test_criterion_4_morphism_laws():
         _, k, m2 = rng.choice(by_src[j])
         comp = compose(gis[i].X, gis[j].X, gis[k].X, m1, m2)
         assert verify_morphism(gis[i].X, gis[k].X, comp).passed
-        direct = functor_G_mor(comp.f, tops[i], tops[k], g_src=gis[i], g_dst=gis[k])
+        direct = functor_G_mor(comp.f, gis[i], gis[k])
         assert equivalent(comp, direct)
         composed += 1
     # associativity as point-map equality, seeded sample of triples

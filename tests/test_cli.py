@@ -105,7 +105,7 @@ def test_umap_present_and_absent(tmp_path, sierpinski_g, capsys):
 
 def test_compose_cli(tmp_path, capsys):
     gs = functor_G_obj(SIERPINSKI)
-    const1 = functor_G_mor((1, 1), SIERPINSKI, SIERPINSKI)
+    const1 = functor_G_mor((1, 1), gs, gs)
     xfile = write(tmp_path, "x.json", preorder_to_json(gs.X, gs.w))
     mfile = write(tmp_path, "m.json", morphism_to_json(const1))
     code = main(["compose", xfile, xfile, xfile, mfile, mfile])

@@ -30,7 +30,7 @@ _G = functor_G_obj(CHAIN)
 CARRIER = preorder_to_json(_G.X, _G.w)
 TOPOLOGY = topology_to_json(CHAIN)
 IDENTITY = morphism_to_json(identity_morphism(_G.X))
-CONSTANT = morphism_to_json(functor_G_mor((0, 0, 0), CHAIN, CHAIN))
+CONSTANT = morphism_to_json(functor_G_mor((0, 0, 0), _G, _G))
 
 # argv before the files, and the valid documents the files hold
 COMMANDS = {

@@ -7,6 +7,7 @@ from fibrous import (
     SpatialWitness,
     StructureError,
     check_axioms,
+    enumerate_topologies,
     find_equivalence,
     find_umap,
     functor_G_obj,
@@ -105,11 +106,24 @@ def test_structural_errors_are_not_violations():
 
 def test_neighborhood_values():
     gi = functor_G_obj(SIERPINSKI)
-    assert gi.labels[0] == (2, 1)
+    assert (gi.X.R[0], gi.X.p[0]) == (2, 1)
     assert to_points(gi.X.R[0]) == [1]
     assert to_points(ONE_POINT.R[0]) == [0]
     gi2 = functor_G_obj(INDISCRETE2)
     assert to_points(gi2.X.R[0]) == [0, 1]
+
+
+def test_least_within_matches_its_definition():
+    carriers = [functor_G_obj(T).X for n in range(4) for T in enumerate_topologies(n)]
+    carriers += [random_spatial_preorder(seed)[0] for seed in range(100)]
+    for X in carriers:
+        for x in range(X.nB):
+            for S in range(1 << X.nB):
+                expected = min(
+                    (a for a in range(X.nA) if X.p[a] == x and X.R[a] & ~S == 0),
+                    default=None,
+                )
+                assert X.least_within(x, S) == expected
 
 
 def test_find_equivalence_identity_on_self():

@@ -17,6 +17,7 @@ from fibrous import (
     specialization,
     verify_equivalence,
 )
+from fibrous import functors
 from fibrous.bitsets import bits, is_subset
 from fibrous.functors import BRUTE_LIMIT, NotContinuousError
 
@@ -31,7 +32,8 @@ def test_g_on_one_point_space():
 
 def test_g_sierpinski_structure():
     gi = functor_G_obj(SIERPINSKI)
-    assert gi.labels == ((2, 1), (3, 0), (3, 1))
+    assert gi.T == SIERPINSKI
+    assert gi.index == {(2, 1): 0, (3, 0): 1, (3, 1): 2}
     assert gi.X.p == (1, 0, 1)
     assert gi.X.R == (2, 3, 3)
     assert gi.X.d[(1, 1)] == 2  # refining (full, 0) at point 1 gives (full, 1)
@@ -55,13 +57,13 @@ def test_g_mor_identity_equals_identity_morphism():
     from fibrous import identity_morphism
 
     gi = functor_G_obj(SIERPINSKI)
-    mor = functor_G_mor((0, 1), SIERPINSKI, SIERPINSKI)
+    mor = functor_G_mor((0, 1), gi, gi)
     assert mor == identity_morphism(gi.X)
 
 
 def test_g_mor_rejects_non_continuous_with_witness():
-    indiscrete = FiniteTopology(2, (0, 3))
-    discrete = FiniteTopology(2, (0, 1, 2, 3))
+    indiscrete = functor_G_obj(FiniteTopology(2, (0, 3)))
+    discrete = functor_G_obj(FiniteTopology(2, (0, 1, 2, 3)))
     with pytest.raises(NotContinuousError) as exc:
         functor_G_mor((0, 1), indiscrete, discrete)
     assert exc.value.witness_open == [0]
@@ -71,16 +73,17 @@ def test_g_mor_matches_continuity_by_definition():
     # the continuity check must reject exactly the maps with a bad preimage
     from itertools import product
 
-    tops = enumerate_topologies(2)
-    for T in tops:
-        for Tp in tops:
+    gis = [functor_G_obj(T) for T in enumerate_topologies(2)]
+    for gi in gis:
+        for gip in gis:
+            T, Tp = gi.T, gip.T
             for f in product(range(Tp.nB), repeat=T.nB):
                 direct = all(
                     sum(1 << y for y in range(T.nB) if up >> f[y] & 1) in set(T.opens)
                     for up in Tp.opens
                 )
                 try:
-                    functor_G_mor(f, T, Tp)
+                    functor_G_mor(f, gi, gip)
                     assert direct
                 except NotContinuousError:
                     assert not direct
@@ -147,6 +150,30 @@ def test_roundtrip_fg_small_and_discrete4():
         for T in enumerate_topologies(n):
             assert roundtrip_FG(T).passed
     assert roundtrip_FG(FiniteTopology(4, tuple(range(16)))).passed
+
+
+@pytest.mark.parametrize(
+    "replace_open, missing, extra",
+    [(None, [[0, 1]], []), (0b101, [[0, 1]], [[0, 2]])],
+    ids=["dropped", "replaced"],
+)
+def test_roundtrip_fg_names_missing_and_extra_opens(
+    monkeypatch, replace_open, missing, extra
+):
+    # F loses the open set {0, 1} of the chain 0 <= 1 <= 2, or swaps it for
+    # the non-open {0, 2}
+    chain = FiniteTopology(3, (0b000, 0b001, 0b011, 0b111))
+    true_f = functors.functor_F_obj
+
+    def lossy_f(X):
+        opens = set(true_f(X).opens) - {0b011}
+        if replace_open is not None:
+            opens.add(replace_open)
+        return FiniteTopology(X.nB, tuple(sorted(opens)))
+
+    monkeypatch.setattr(functors, "functor_F_obj", lossy_f)
+    rep = roundtrip_FG(chain)
+    assert rep.violations == (("FG", {"missing": missing, "extra": extra}),)
 
 
 def test_roundtrip_gf_one_point():

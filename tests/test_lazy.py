@@ -32,6 +32,7 @@ from fibrous.lazy import (
     check_normed_conditions,
     norm_step_index,
 )
+from test_words import first_letters
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
@@ -441,7 +442,7 @@ def ref_tangent(strict):
 
 def ref_cantor():
     def rel(n, u, w):
-        return all(u.letter(i) == w.letter(i) for i in range(1, n + 1))
+        return first_letters(u.pre, u.per, n) == first_letters(w.pre, w.per, n)
 
     return rel, lambda n, u, w: n
 

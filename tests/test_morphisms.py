@@ -24,7 +24,7 @@ SIERPINSKI = FiniteTopology(2, (0, 2, 3))
 DISCRETE2 = FiniteTopology(2, (0, 1, 2, 3))
 GS = functor_G_obj(SIERPINSKI)
 GD = functor_G_obj(DISCRETE2)
-CONST1 = functor_G_mor((1, 1), SIERPINSKI, SIERPINSKI, g_src=GS, g_dst=GS)
+CONST1 = functor_G_mor((1, 1), GS, GS)
 
 
 def test_identity_passes_everywhere():
@@ -52,7 +52,7 @@ def test_g_image_of_constant_map_passes():
 
 def test_deliberately_bad_lifting_fails_condition_two():
     f = (0, 1)
-    mor = functor_G_mor(f, DISCRETE2, SIERPINSKI, g_src=GD, g_dst=GS)
+    mor = functor_G_mor(f, GD, GS)
     assert verify_morphism(GD.X, GS.X, mor).passed
     small = GS.index[(2, 1)]
     bad_table = dict(mor.fstar)
@@ -95,7 +95,7 @@ def test_compose_with_identity_is_equivalent():
 
 def test_compose_matches_g_of_composite():
     comp = compose(GS.X, GS.X, GS.X, CONST1, CONST1)
-    direct = functor_G_mor((1, 1), SIERPINSKI, SIERPINSKI, g_src=GS, g_dst=GS)
+    direct = functor_G_mor((1, 1), GS, GS)
     assert equivalent(comp, direct)
     assert verify_morphism(GS.X, GS.X, comp).passed
 
@@ -127,7 +127,7 @@ def _continuous_morphisms(max_points):
         for j, Tp in enumerate(tops):
             for f in product(range(Tp.nB), repeat=T.nB):
                 try:
-                    m = functor_G_mor(f, T, Tp, g_src=gis[i], g_dst=gis[j])
+                    m = functor_G_mor(f, gis[i], gis[j])
                 except NotContinuousError:
                     continue
                 out.append((i, j, m))
