@@ -26,7 +26,8 @@ class NeighborhoodOracle:
     ``y`` lies in the neighborhood of ``a``, ``delta(a, y)`` refines ``a``
     at a related point, ``unit(y)`` is the section and ``meet(a, a2)`` the
     fiberwise meet.  The samplers take a seed and yield endless streams for
-    :func:`sample_check`.
+    :func:`sample_check`.  Points must compare equal to themselves, because
+    the checkers test identity before ``==``.
     """
 
     name: str
@@ -59,7 +60,8 @@ def sample_check(
     unit, meet = oracle.unit, oracle.meet
     elems = oracle.element_sampler(2 * seed)
     points = oracle.point_sampler(2 * seed + 1)
-    # witness dicts are built only on a violation
+    # witness dicts are built only on a violation; points compare by identity
+    # first, since the oracles mostly hand back the very point they were given
     for rnd in range(n_samples):
         a = next(elems)
         a2 = next(elems)
@@ -70,11 +72,12 @@ def sample_check(
             col.add("F2", {"seed": seed, "round": rnd, "a": a})
         else:
             pairs = [(a, xa)]
-            if y != xa and rel(a, y):
+            if y is not xa and y != xa and rel(a, y):
                 pairs.append((a, y))
             for src, tgt in pairs:
                 b = delta(src, tgt)
-                if proj(b) != tgt:
+                pb = proj(b)
+                if pb is not tgt and pb != tgt:
                     col.add("F1", {"seed": seed, "round": rnd, "a": src, "y": tgt, "delta": b})
                 if rel(b, z) and not rel(src, z):
                     col.add(
@@ -82,16 +85,18 @@ def sample_check(
                         {"seed": seed, "round": rnd, "a": src, "y": tgt, "delta": b, "z": z},
                     )
         u = unit(y)
-        if proj(u) != y:
+        pu = proj(u)
+        if pu is not y and pu != y:
             col.add("F4", {"seed": seed, "round": rnd, "y": y, "unit": u})
         mates = [unit(xa)]
         if rel(a2, xa):
             mates.append(delta(a2, xa))
-        elif proj(a2) == xa:
+        elif (pa2 := proj(a2)) is xa or pa2 == xa:
             mates.append(a2)
         for mate in mates:
             c = meet(a, mate)
-            if proj(c) != xa:
+            pc = proj(c)
+            if pc is not xa and pc != xa:
                 col.add("F5", {"seed": seed, "round": rnd, "a": a, "a2": mate, "meet": c})
             if rel(c, z) and not (rel(a, z) and rel(mate, z)):
                 col.add(
@@ -132,9 +137,10 @@ def mk_indexed_family(
         return (refine(a[0], a[1], y), y)
 
     def meet(a, a2):
-        if a[1] != a2[1]:
+        x, x2 = a[1], a2[1]
+        if x is not x2 and x != x2:
             raise ValueError("meet needs a shared point")
-        return (op(a[0], a2[0]), a[1])
+        return (op(a[0], a2[0]), x)
 
     def point_sampler(seed):
         rng = Random(seed)
@@ -327,7 +333,8 @@ class Word:
         pre, per = tuple(self.pre), tuple(self.per)
         if not per:
             raise ValueError("period must be nonempty")
-        if any(c not in (0, 2) for c in pre + per):
+        letters = pre + per
+        if letters.count(0) + letters.count(2) != len(letters):
             raise ValueError("letters must be 0 or 2")
         for dlen in range(1, len(per) + 1):
             if len(per) % dlen == 0 and per == per[:dlen] * (len(per) // dlen):
@@ -365,8 +372,9 @@ def mk_cantor() -> NeighborhoodOracle:
         return n
 
     def draw(rng):
-        pre = tuple(rng.choice((0, 2)) for _ in range(rng.randint(0, 4)))
-        per = tuple(rng.choice((0, 2)) for _ in range(rng.randint(1, 4)))
+        # choice(range(a, b + 1)) draws the same _randbelow as randint(a, b)
+        pre = tuple(map(rng.choice, repeat((0, 2), rng.choice(range(5)))))
+        per = tuple(map(rng.choice, repeat((0, 2), rng.choice(range(1, 5)))))
         return Word(pre, per)
 
     return mk_indexed_family("cantor", relates, refine, draw, index_max=5)
@@ -561,18 +569,17 @@ def check_normed_conditions(
         a2 = group.draw_point(rng)
         n = rng.randint(1, 4)
         n2 = rng.randint(1, 4)
-        wit = {"seed": seed, "round": rnd, "a": a, "a2": a2, "n": n, "n2": n2}
         if member(group.nsum(n * n2, a)) and not (
             member(group.nsum(n, a)) and member(group.nsum(n2, a))
         ):
-            col.add("NG2", wit)
+            col.add("NG2", {"seed": seed, "round": rnd, "a": a, "a2": a2, "n": n, "n2": n2})
         if (
             a != group.zero
             and member(group.nsum(n, a))
             and member(group.nsum(h(a), a2))
             and not member(group.nsum(n, group.add(a, a2)))
         ):
-            col.add("NG3", wit)
+            col.add("NG3", {"seed": seed, "round": rnd, "a": a, "a2": a2, "n": n, "n2": n2})
     return col.report()
 
 
@@ -615,7 +622,8 @@ def check_modulus(
         z = next(points)
         a_prime = (n, mor.f(y))
         b = mor.lift(a_prime, y)
-        if mor.source.proj(b) != y:
+        pb = mor.source.proj(b)
+        if pb is not y and pb != y:
             col.add("M1", {"seed": seed, "round": rnd, "n": n, "y": y, "lift": b})
         if mor.source.rel(b, z) and not mor.target.rel(a_prime, mor.f(z)):
             col.add("M2", {"seed": seed, "round": rnd, "n": n, "y": y, "lift": b, "z": z})

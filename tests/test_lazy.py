@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibrous import (
+    ModulusMorphism,
     Word,
     broken_metric_q,
     broken_padic,
@@ -71,8 +72,13 @@ def test_metric_delta_needs_related_pair():
 def test_metric_meet_needs_shared_point():
     o = metric_q()
     assert o.meet((2, F(1)), (3, F(1))) == (6, F(1))
+    one, twin = F(1), F(2, 2)
+    assert twin is not one
+    assert o.meet((2, one), (3, twin)) == (6, F(1))  # equal points need not be identical
     with pytest.raises(ValueError):
         o.meet((2, F(1)), (3, F(2)))
+    with pytest.raises(ValueError):
+        o.meet((2, one), (3, F(3, 2)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -274,6 +280,80 @@ def test_broken_padic_caught_quickly():
     rep = sample_check(broken_padic(3), 2000, 0)
     assert not rep.passed
     assert rep.violations[0][0] == "F3"
+
+
+# -- checker branches --------------------------------------------------------
+#
+# Each mutant of metric-q breaks one axiom at the point it hands back; the
+# checkers compare points by identity first, so the twins hand back a fresh
+# but equal Fraction instead and must still pass.  The F1 and F4 mutants also
+# hand meet companions off the fiber, so they meet at the first element's point.
+
+def _fresh(q):
+    twin = F(q.numerator, q.denominator)
+    assert twin is not q
+    return twin
+
+
+METRIC = metric_q()
+
+
+def _loose_meet(a, a2):
+    return (a[0] * a2[0], a[1])
+
+
+# broken axiom -> replaced oracle fields
+AXIOM_MUTANTS = {
+    "F1": dict(delta=lambda a, y: (METRIC.delta(a, y)[0], y + 1), meet=_loose_meet),
+    "F2": dict(rel=lambda a, y: y != a[1] and METRIC.rel(a, y)),
+    "F4": dict(unit=lambda y: (1, y + 1), meet=_loose_meet),
+    "F5": dict(meet=lambda a, a2: (a[0] * a2[0], a[1] + 1)),
+}
+
+EQUAL_TWINS = {
+    "delta": dict(delta=lambda a, y: (METRIC.delta(a, y)[0], _fresh(y))),
+    "unit": dict(unit=lambda y: (1, _fresh(y))),
+    "meet": dict(meet=lambda a, a2: (METRIC.meet(a, a2)[0], _fresh(a[1]))),
+}
+
+
+def _caught_replayably(run, tag):
+    rep = run(100)
+    assert not rep.passed
+    wit = dict(rep.violations)[tag]
+    assert wit["seed"] == 0 and 0 <= wit["round"] < 100
+    # rerunning up to the reported round finds the same witness
+    assert dict(run(wit["round"] + 1).violations)[tag] == wit
+
+
+@pytest.mark.parametrize("tag", AXIOM_MUTANTS)
+def test_metric_mutant_is_caught(tag):
+    oracle = replace(METRIC, name=f"metric-q-{tag}", **AXIOM_MUTANTS[tag])
+    _caught_replayably(lambda n: sample_check(oracle, n, 0), tag)
+
+
+@pytest.mark.parametrize("name", EQUAL_TWINS)
+def test_equal_but_distinct_points_pass(name):
+    oracle = replace(METRIC, **EQUAL_TWINS[name])
+    assert sample_check(oracle, 1500, 0).passed
+
+
+class _ShiftedLift(ModulusMorphism):
+    def lift(self, a_prime, y):
+        return (self.omega(a_prime[0], y), y + 1)
+
+
+class _FreshLift(ModulusMorphism):
+    def lift(self, a_prime, y):
+        return (self.omega(a_prime[0], y), _fresh(y))
+
+
+def test_bad_lift_modulus_is_caught():
+    good = named_modulus("q-double")
+    mor = _ShiftedLift(good.source, good.target, good.f, good.omega)
+    _caught_replayably(lambda n: check_modulus(mor, n, 0), "M1")
+    twin = _FreshLift(good.source, good.target, good.f, good.omega)
+    assert check_modulus(twin, 2000, 0).passed
 
 
 def test_named_instance_errors():

@@ -29,6 +29,17 @@ def test_rejects_bad_input():
         Word((), ())
     with pytest.raises(ValueError):
         Word((1,), (0,))
+    for letter in (1, "0", None, (0,), [0]):
+        with pytest.raises(ValueError):
+            Word((letter,), (0,))
+        with pytest.raises(ValueError):
+            Word((), (2, letter))
+
+
+def test_letters_compare_by_value():
+    # 0.0 == 0 and False == 0, so both pass the letter check as they always did
+    assert Word((0.0,), (2,)) == Word((0,), (2,))
+    assert Word((), (False, 2)) == Word((), (0, 2))
 
 
 @settings(max_examples=200, deadline=None)
