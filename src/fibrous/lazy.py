@@ -564,6 +564,10 @@ def check_normed_conditions(
     if not member(group.zero):
         col.add("NG1", {"seed": seed})
     rng = Random(seed)
+
+    def wit():  # the current round's witness, built only on a violation
+        return {"seed": seed, "round": rnd, "a": a, "a2": a2, "n": n, "n2": n2}
+
     for rnd in range(n_samples):
         a = group.draw_point(rng)
         a2 = group.draw_point(rng)
@@ -572,14 +576,14 @@ def check_normed_conditions(
         if member(group.nsum(n * n2, a)) and not (
             member(group.nsum(n, a)) and member(group.nsum(n2, a))
         ):
-            col.add("NG2", {"seed": seed, "round": rnd, "a": a, "a2": a2, "n": n, "n2": n2})
+            col.add("NG2", wit())
         if (
             a != group.zero
             and member(group.nsum(n, a))
             and member(group.nsum(h(a), a2))
             and not member(group.nsum(n, group.add(a, a2)))
         ):
-            col.add("NG3", {"seed": seed, "round": rnd, "a": a, "a2": a2, "n": n, "n2": n2})
+            col.add("NG3", wit())
     return col.report()
 
 

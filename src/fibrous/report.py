@@ -56,20 +56,10 @@ class Collector:
         return AxiomReport(tuple(self._items))
 
 
-_LEAVES = frozenset({int, str, bool, type(None)})
-
-
 def jsonable(value):
     """The witness formatter: Fractions become ``"p/q"``, tuples and lists
     become lists, dict keys strings, and any other object its ``repr``."""
-    kind = type(value)  # exact built-in types first, subclasses below
-    if kind in _LEAVES:
-        return value
-    if kind is tuple or kind is list:
-        return [jsonable(v) for v in value]
-    if kind is dict:
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (int, str)):
+    if value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
