@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
+from operator import itemgetter
 
 from .bitsets import bits, from_points, to_points
 from .report import AxiomReport, Collector, FormatError, StructureError
@@ -85,11 +86,42 @@ def check_table(table: dict, domain, n_values: int, name: str, pairs: str) -> No
             f"{name} table must cover exactly {pairs}"
             f" (missing {missing[:3]}, extra {extra[:3]})"
         )
-    values = table.values()
+    _check_values(table.values(), table.items(), n_values, name)
+
+
+def check_map(values, n: int, n_values: int, name: str) -> None:
+    """Raise :class:`StructureError` unless the sequence ``values`` has ``n``
+    entries, each in ``range(n_values)``: a total map from ``range(n)``."""
+    if len(values) != n:
+        raise StructureError(f"{name} has {len(values)} entries, expected {n}")
+    _check_values(values, enumerate(values), n_values, name)
+
+
+def _check_values(values, items, n_values: int, name: str) -> None:
+    # min and max run in C; the first bad (key, value) item is looked for
+    # only on failure
     if values and not (0 <= min(values) and max(values) < n_values):
-        for key, t in table.items():
+        for key, t in items:
             if not 0 <= t < n_values:
                 raise StructureError(f"{name}[{key}]={t} out of range")
+
+
+def misfits(col: Collector, over_tag: str, inside_tag: str | None, p, R, rows) -> None:
+    """The fit check of every finite verifier.  A row ``(key, t, x, S)``
+    whose element ``t`` is not over ``x`` adds ``over_tag`` with witness
+    ``key``; one whose ``R[t]`` leaves ``S`` adds ``inside_tag`` with ``key``
+    plus the least escaping point.  Violations go in key order, one row's in
+    the order found."""
+    found = []
+    for key, t, x, S in rows:
+        if p[t] != x:
+            found.append((key, over_tag, key))
+        escaped = R[t] & ~S
+        if escaped:
+            found.append((key, inside_tag, key + (next(bits(escaped)),)))
+    found.sort(key=itemgetter(0))
+    for _, tag, witness in found:
+        col.add(tag, witness)
 
 
 @dataclass(frozen=True)
@@ -119,11 +151,7 @@ class EquivalenceWitness:
 
 def validate_witness(X: FinFibrousPreorder, w: SpatialWitness) -> None:
     """Raise :class:`StructureError` unless ``w`` is structurally valid for ``X``."""
-    if len(w.s) != X.nB:
-        raise StructureError(f"s has {len(w.s)} entries, expected {X.nB}")
-    for y, t in enumerate(w.s):
-        if not 0 <= t < X.nA:
-            raise StructureError(f"s[{y}]={t} out of range")
+    check_map(w.s, X.nB, X.nA, "s")
     same_fiber = chain.from_iterable(product(fiber, repeat=2) for fiber in X.fibers)
     check_table(w.m, same_fiber, X.nA, "m", "the same-fiber pairs")
 
@@ -142,43 +170,23 @@ def check_axioms(
     F5: meets stay in their fiber.
     F6: a meet's neighborhood is contained in both arguments' neighborhoods.
 
-    Each violation carries a witness tuple of indices.  Structural problems
+    Each violation carries a witness tuple of indices (the ``d``, ``s`` and
+    ``m`` tables each take one :func:`misfits` pass).  Structural problems
     raise :class:`StructureError` instead of being reported as violations.
     """
     col = Collector(verbose)
     p, R = X.p, X.R
-    found = []
-    for (a, b), t in X.d.items():
-        if p[t] != b:
-            found.append(("F1", (a, b)))
-        escaped = R[t] & ~R[a]
-        if escaped:
-            found.append(("F3", (a, b, next(bits(escaped)))))
-    _add_by_key(col, found)
+    misfits(col, "F1", "F3", p, R, (((a, b), t, b, R[a]) for (a, b), t in X.d.items()))
     for a in range(X.nA):
         if not R[a] >> p[a] & 1:
             col.add("F2", (a,))
     if w is not None:
         validate_witness(X, w)
-        for y, t in enumerate(w.s):
-            if p[t] != y:
-                col.add("F4", (y,))
-        found = []
-        for (a, a2), t in w.m.items():
-            if p[t] != p[a]:
-                found.append(("F5", (a, a2)))
-            escaped = R[t] & ~(R[a] & R[a2])
-            if escaped:
-                found.append(("F6", (a, a2, next(bits(escaped)))))
-        _add_by_key(col, found)
+        # every neighborhood lies inside the full set -1, so F4 has no twin
+        misfits(col, "F4", None, p, R, (((y,), t, y, -1) for y, t in enumerate(w.s)))
+        meets = (((a, a2), t, p[a], R[a] & R[a2]) for (a, a2), t in w.m.items())
+        misfits(col, "F5", "F6", p, R, meets)
     return col.report()
-
-
-def _add_by_key(col: Collector, found: list) -> None:
-    # Tables are walked in row order; reports list witnesses in key order.
-    # The sort is stable, so the violations of one entry keep their order.
-    for tag, witness in sorted(found, key=lambda v: v[1][:2]):
-        col.add(tag, witness)
 
 
 def _cover(src: FinFibrousPreorder, dst: FinFibrousPreorder) -> tuple[int, ...] | None:
@@ -219,26 +227,17 @@ def verify_equivalence(
     w: EquivalenceWitness,
     verbose: bool = False,
 ) -> AxiomReport:
-    """Check the commuting squares and the F9/F10 neighborhood inclusions."""
+    """Check the commuting squares and the F9/F10 neighborhood inclusions,
+    one :func:`misfits` pass for ``phi`` and one for ``gamma``."""
     if X.nB != Xp.nB:
         raise ValueError(f"base sizes differ ({X.nB} vs {Xp.nB})")
-    if len(w.phi) != X.nA or any(not 0 <= t < Xp.nA for t in w.phi):
-        raise StructureError("phi is not a total map into the second carrier")
-    if len(w.gamma) != Xp.nA or any(not 0 <= t < X.nA for t in w.gamma):
-        raise StructureError("gamma is not a total map into the first carrier")
+    check_map(w.phi, X.nA, Xp.nA, "phi")
+    check_map(w.gamma, Xp.nA, X.nA, "gamma")
     col = Collector(verbose)
-    for a, t in enumerate(w.phi):
-        if Xp.p[t] != X.p[a]:
-            col.add("P-PHI", (a,))
-        escaped = Xp.R[t] & ~X.R[a]
-        if escaped:
-            col.add("F9", (a, next(bits(escaped))))
-    for a2, t in enumerate(w.gamma):
-        if X.p[t] != Xp.p[a2]:
-            col.add("P-GAMMA", (a2,))
-        escaped = X.R[t] & ~Xp.R[a2]
-        if escaped:
-            col.add("F10", (a2, next(bits(escaped))))
+    phis = (((a,), t, X.p[a], X.R[a]) for a, t in enumerate(w.phi))
+    misfits(col, "P-PHI", "F9", Xp.p, Xp.R, phis)
+    gammas = (((a2,), t, Xp.p[a2], Xp.R[a2]) for a2, t in enumerate(w.gamma))
+    misfits(col, "P-GAMMA", "F10", X.p, X.R, gammas)
     return col.report()
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from random import Random
 
-from .bitsets import bits, full_mask, is_subset, to_points
+from .bitsets import bits, full_mask, is_subset, preimage, to_points
 from .core import (
     EquivalenceWitness,
     FinFibrousPreorder,
@@ -94,19 +94,14 @@ def functor_G_mor(f, gi: GImage, gip: GImage) -> FibrousMorphism:
     if len(f) != T.nB or any(not 0 <= t < Tp.nB for t in f):
         raise ValueError("point map does not fit the two base sets")
     opens = set(T.opens)
-    preimage = {}
-    for up in Tp.opens:
-        pre = 0
-        for y in range(T.nB):
-            if up >> f[y] & 1:
-                pre |= 1 << y
-        if pre not in opens:
+    pre = {up: preimage(f, up) for up in Tp.opens}
+    for up, u in pre.items():
+        if u not in opens:
             raise NotContinuousError(to_points(up))
-        preimage[up] = pre
     fstar = {}
     for y in range(T.nB):
         for i in gip.X.fibers[f[y]]:
-            fstar[(i, y)] = gi.index[(preimage[gip.X.R[i]], y)]
+            fstar[(i, y)] = gi.index[(pre[gip.X.R[i]], y)]
     return FibrousMorphism(f, fstar)
 
 

@@ -51,9 +51,11 @@ def sample_check(
     Each round draws two elements and two points, then checks: F2 on the
     element's own point, F1/F3 through the refinement (both on the
     guaranteed pair and on a sampled related pair), F4 on the section, and
-    F5/F6 on meets with derived same-fiber companions.  Violations carry the
-    seed and round number, so any failure replays deterministically.  A
-    passing report means no violation in ``n_samples`` rounds, not a proof.
+    F5/F6 on meets with derived same-fiber companions (one that ``unit`` or
+    ``delta`` puts over another point is an F4 or F1 defect and is skipped).
+    Violations carry the seed and round number, so any failure replays
+    deterministically.  A passing report means no violation in
+    ``n_samples`` rounds, not a proof.
     """
     col = Collector(verbose)
     proj, rel, delta = oracle.proj, oracle.rel, oracle.delta
@@ -88,12 +90,10 @@ def sample_check(
         pu = proj(u)
         if pu is not y and pu != y:
             col.add("F4", {"seed": seed, "round": rnd, "y": y, "unit": u})
-        mates = [unit(xa)]
-        if rel(a2, xa):
-            mates.append(delta(a2, xa))
-        elif (pa2 := proj(a2)) is xa or pa2 == xa:
-            mates.append(a2)
-        for mate in mates:
+        # meet companions: the unit at xa and a2 refined to xa (or a2 as is)
+        for mate in (unit(xa), delta(a2, xa) if rel(a2, xa) else a2):
+            if (pm := proj(mate)) is not xa and pm != xa:
+                continue
             c = meet(a, mate)
             pc = proj(c)
             if pc is not xa and pc != xa:

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitsets import bits
-from .core import FinFibrousPreorder, _expect_int_list, _expect_table, check_table
+from .bitsets import preimage
+from .core import FinFibrousPreorder, check_map, check_table, misfits
+from .core import _expect_int_list, _expect_table
 from .report import AxiomReport, Collector, FormatError, StructureError
 
 
@@ -31,14 +32,6 @@ class FibrousMorphism:
         object.__setattr__(self, "f", tuple(self.f))
 
 
-def _check_base_map(m: FibrousMorphism, X: FinFibrousPreorder, Xp: FinFibrousPreorder):
-    if len(m.f) != X.nB:
-        raise StructureError(f"base map has {len(m.f)} entries, expected {X.nB}")
-    for b, t in enumerate(m.f):
-        if not 0 <= t < Xp.nB:
-            raise StructureError(f"f[{b}]={t} out of range")
-
-
 def verify_morphism(
     X: FinFibrousPreorder,
     Xp: FinFibrousPreorder,
@@ -50,20 +43,17 @@ def verify_morphism(
     M1: each lifting projects to its source point.
     M2: the lifting's neighborhood maps into the target neighborhood.
 
-    A lifting table whose domain is not exactly the fiber product raises
-    :class:`StructureError`.
+    One :func:`~fibrous.core.misfits` pass checks both, M2 as "inside the
+    preimage of the target neighborhood".  A lifting table whose domain is
+    not exactly the fiber product raises :class:`StructureError`.
     """
-    _check_base_map(m, X, Xp)
+    check_map(m.f, X.nB, Xp.nB, "f")
     fiber_product = ((a2, b) for b in range(X.nB) for a2 in Xp.fibers[m.f[b]])
     check_table(m.fstar, fiber_product, X.nA, "fstar", "the fiber product")
     col = Collector(verbose)
-    for (a2, b), t in sorted(m.fstar.items()):
-        if X.p[t] != b:
-            col.add("M1", (a2, b))
-        for y in bits(X.R[t]):
-            if not Xp.R[a2] >> m.f[y] & 1:
-                col.add("M2", (a2, b, y))
-                break
+    pre = [preimage(m.f, row) for row in Xp.R]
+    lifts = (((a2, b), t, b, pre[a2]) for (a2, b), t in m.fstar.items())
+    misfits(col, "M1", "M2", X.p, X.R, lifts)
     return col.report()
 
 
@@ -88,8 +78,8 @@ def compose(
     lifts the result through ``m1`` at ``b``.  Both inputs are assumed to
     pass :func:`verify_morphism`; the result then passes as well.
     """
-    _check_base_map(m1, X, Xp)
-    _check_base_map(m2, Xp, Xpp)
+    check_map(m1.f, X.nB, Xp.nB, "f")
+    check_map(m2.f, Xp.nB, Xpp.nB, "f")
     gf = tuple(m2.f[m1.f[b]] for b in range(X.nB))
     table = {}
     for b in range(X.nB):

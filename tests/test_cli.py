@@ -388,6 +388,9 @@ PINNED_M = PINNED_FILES["M"]
                  "m[(0, 0)]=-1 out of range", id="m-negative"),
     pytest.param({**PINNED_M, "fstar": [[0, 0, 1], [0, 1, 2], [2, 0, -4], [2, 1, 3]]},
                  "fstar[(2, 0)]=-4 out of range", id="fstar-negative"),
+    pytest.param({**PINNED_G, "s": [1, 2, 0]}, "s has 3 entries, expected 2", id="s-long"),
+    pytest.param({**PINNED_M, "f": [1]}, "f has 1 entries, expected 2", id="f-short"),
+    pytest.param({**PINNED_M, "f": [1, 2]}, "f[1]=2 out of range", id="f-out-of-range"),
 ])
 def test_pinned_rejection(doc, message, tmp_path, capsys):
     """Reader and table-domain messages for malformed files, word for word.

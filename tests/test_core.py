@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibrous import (
+    EquivalenceWitness,
     FinFibrousPreorder,
     SpatialWitness,
     StructureError,
@@ -152,6 +153,18 @@ def test_find_equivalence_absent_for_discrete_vs_indiscrete():
 def test_find_equivalence_base_mismatch():
     with pytest.raises(ValueError):
         find_equivalence(ONE_POINT, ORDER01)
+
+
+@pytest.mark.parametrize("phi, gamma, message", [
+    ((0, 1), (0,), "phi has 2 entries, expected 1"),
+    ((1,), (0,), "phi[0]=1 out of range"),
+    ((0,), (), "gamma has 0 entries, expected 1"),
+    ((0,), (-1,), "gamma[0]=-1 out of range"),
+])
+def test_equivalence_maps_must_be_total(phi, gamma, message):
+    with pytest.raises(StructureError) as exc:
+        verify_equivalence(ONE_POINT, ONE_POINT, EquivalenceWitness(phi, gamma))
+    assert str(exc.value) == message
 
 
 def test_find_umap_one_point():

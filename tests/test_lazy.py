@@ -287,8 +287,9 @@ def test_broken_padic_caught_quickly():
 # Each mutant of metric-q breaks one axiom at the point it hands back; the
 # checkers compare points by identity first, so the twins hand back a fresh
 # but equal Fraction instead and must still pass.  The F1 and F4 mutants also
-# hand meet companions off the fiber, so they meet at the first element's point;
-# with metric-q's own meet, sample_check stops with ValueError instead.
+# hand meet companions off the fiber; sample_check does not meet those, so
+# the mutants are caught with a meet that keeps the first element's point and
+# with metric-q's own meet, which rejects an off-fiber companion.
 
 def _fresh(q):
     twin = F(q.numerator, q.denominator)
@@ -333,8 +334,6 @@ def test_metric_mutant_is_caught(tag):
     _caught_replayably(lambda n: sample_check(oracle, n, 0), tag)
 
 
-@pytest.mark.xfail(raises=ValueError, strict=True,
-                   reason="sample_check passes the off-fiber element to meet, which rejects it")
 @pytest.mark.parametrize("tag", ("F1", "F4"))
 def test_metric_mutant_is_caught_with_its_own_meet(tag):
     fields = {k: v for k, v in AXIOM_MUTANTS[tag].items() if k != "meet"}
