@@ -90,7 +90,6 @@ def sample_check(
         pu = proj(u)
         if pu is not y and pu != y:
             col.add("F4", {"seed": seed, "round": rnd, "y": y, "unit": u})
-        # meet companions: the unit at xa and a2 refined to xa (or a2 as is)
         for mate in (unit(xa), delta(a2, xa) if rel(a2, xa) else a2):
             if (pm := proj(mate)) is not xa and pm != xa:
                 continue
