@@ -12,6 +12,7 @@ produces a verified equivalence witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from random import Random
 
 from .bitsets import bits, full_mask, is_subset, preimage, to_points
@@ -43,20 +44,35 @@ class GImage:
 
     Element ``a`` is the (open-set bitset, point) pair ``(X.R[a], X.p[a])``;
     no two elements share a pair, and ``index`` maps each pair to its element.
+    The witness ``w`` is built on its first read: the round trips and
+    :func:`functor_G_mor` never read it.
     """
 
     X: FinFibrousPreorder
-    w: SpatialWitness
     T: FiniteTopology
     index: dict[tuple[int, int], int] = field(repr=False, compare=False)
+
+    @cached_property
+    def w(self) -> SpatialWitness:
+        """The section picks ``(full set, x)`` and the meet of ``(U, x)`` and
+        ``(V, x)`` is ``(U & V, x)``, looked up among the fiber of ``x``."""
+        R = self.X.R
+        full = full_mask(self.T.nB)
+        s = tuple(self.index[(full, x)] for x in range(self.T.nB))
+        m = {}
+        for fiber in self.X.fibers:
+            at = {R[i]: i for i in fiber}
+            for i in fiber:
+                for j in fiber:
+                    m[(i, j)] = at[R[i] & R[j]]
+        return SpatialWitness(s, m)
 
 
 def functor_G_obj(T: FiniteTopology) -> GImage:
     """Build the carrier of all (open set, member point) pairs of ``T``.
 
     Elements are ordered by (open set as integer, point).  The refinement of
-    ``((U, x), y)`` is ``(U, y)``; the section picks ``(full set, x)`` and
-    the meet of ``(U, x)`` and ``(V, x)`` is ``(U & V, x)``.
+    ``((U, x), y)`` is ``(U, y)``; the witness is :attr:`GImage.w`.
     """
     rep = validate_topology(T)
     if not rep.passed:
@@ -70,15 +86,7 @@ def functor_G_obj(T: FiniteTopology) -> GImage:
         for i, (u, _) in enumerate(labels)
         for y in bits(u)
     }
-    full = full_mask(T.nB)
-    s = tuple(index[(full, x)] for x in range(T.nB))
-    X = FinFibrousPreorder(T.nB, len(labels), p, R, d)
-    m = {}
-    for x, fiber in enumerate(X.fibers):
-        for i in fiber:
-            for j in fiber:
-                m[(i, j)] = index[(R[i] & R[j], x)]
-    return GImage(X, SpatialWitness(s, m), T, index)
+    return GImage(FinFibrousPreorder(T.nB, len(labels), p, R, d), T, index)
 
 
 def functor_G_mor(f, gi: GImage, gip: GImage) -> FibrousMorphism:

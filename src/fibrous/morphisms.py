@@ -16,6 +16,10 @@ from .core import _expect_int_list, _expect_table
 from .report import AxiomReport, Collector, FormatError, StructureError
 
 
+# How errors name the base maps of the two morphisms that ``compose`` takes
+FIRST_F, SECOND_F = "first morphism's f", "second morphism's f"
+
+
 @dataclass(frozen=True)
 class FibrousMorphism:
     """Base map ``f`` (source point -> target point) plus lifting ``fstar``.
@@ -37,6 +41,8 @@ def verify_morphism(
     Xp: FinFibrousPreorder,
     m: FibrousMorphism,
     verbose: bool = False,
+    *,
+    name: str = "f",
 ) -> AxiomReport:
     """Check the two lifting conditions of a morphism ``X -> Xp``.
 
@@ -44,10 +50,11 @@ def verify_morphism(
     M2: the lifting's neighborhood maps into the target neighborhood.
 
     One :func:`~fibrous.core.misfits` pass checks both, M2 as "inside the
-    preimage of the target neighborhood".  A lifting table whose domain is
-    not exactly the fiber product raises :class:`StructureError`.
+    preimage of the target neighborhood".  A base map that is not total
+    (named ``name`` in the message) or a lifting table whose domain is not
+    exactly the fiber product raises :class:`StructureError`.
     """
-    check_map(m.f, X.nB, Xp.nB, "f")
+    check_map(m.f, X.nB, Xp.nB, name)
     fiber_product = ((a2, b) for b in range(X.nB) for a2 in Xp.fibers[m.f[b]])
     check_table(m.fstar, fiber_product, X.nA, "fstar", "the fiber product")
     col = Collector(verbose)
@@ -76,10 +83,11 @@ def compose(
     The base map is the function composition; the lifting of ``(a3, b)``
     first lifts ``a3`` through ``m2`` at the midpoint ``m1.f[b]`` and then
     lifts the result through ``m1`` at ``b``.  Both inputs are assumed to
-    pass :func:`verify_morphism`; the result then passes as well.
+    pass :func:`verify_morphism`; the result then passes as well.  A base
+    map that is not total raises :class:`StructureError` naming its morphism.
     """
-    check_map(m1.f, X.nB, Xp.nB, "f")
-    check_map(m2.f, Xp.nB, Xpp.nB, "f")
+    check_map(m1.f, X.nB, Xp.nB, FIRST_F)
+    check_map(m2.f, Xp.nB, Xpp.nB, SECOND_F)
     gf = tuple(m2.f[m1.f[b]] for b in range(X.nB))
     table = {}
     for b in range(X.nB):

@@ -389,8 +389,8 @@ PINNED_M = PINNED_FILES["M"]
     pytest.param({**PINNED_M, "fstar": [[0, 0, 1], [0, 1, 2], [2, 0, -4], [2, 1, 3]]},
                  "fstar[(2, 0)]=-4 out of range", id="fstar-negative"),
     pytest.param({**PINNED_G, "s": [1, 2, 0]}, "s has 3 entries, expected 2", id="s-long"),
-    pytest.param({**PINNED_M, "f": [1]}, "f has 1 entries, expected 2", id="f-short"),
-    pytest.param({**PINNED_M, "f": [1, 2]}, "f[1]=2 out of range", id="f-out-of-range"),
+    pytest.param({**PINNED_M, "f": [1]}, "first morphism's f has 1 entries, expected 2", id="f-short"),
+    pytest.param({**PINNED_M, "f": [1, 2]}, "first morphism's f[1]=2 out of range", id="f-out-of-range"),
 ])
 def test_pinned_rejection(doc, message, tmp_path, capsys):
     """Reader and table-domain messages for malformed files, word for word.
@@ -402,6 +402,19 @@ def test_pinned_rejection(doc, message, tmp_path, capsys):
         argv = ["compose", g, g, g, path, write(tmp_path, "m.json", PINNED_M)]
     else:
         argv = ["check", path]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("doc, message", [
+    pytest.param({**PINNED_M, "f": [1]}, "second morphism's f has 1 entries, expected 2", id="f-short"),
+    pytest.param({**PINNED_M, "f": [1, 2]}, "second morphism's f[1]=2 out of range", id="f-out-of-range"),
+])
+def test_pinned_rejection_of_second_morphism(doc, message, tmp_path, capsys):
+    """A bad base map in the second morphism of ``compose`` is named as the
+    second's, after a first morphism that fits."""
+    g = write(tmp_path, "g.json", PINNED_G)
+    argv = ["compose", g, g, g, write(tmp_path, "m.json", PINNED_M), write(tmp_path, "doc.json", doc)]
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
 

@@ -16,6 +16,7 @@ from fibrous import (
     roundtrip_GF,
     specialization,
     verify_equivalence,
+    verify_morphism,
 )
 from fibrous import functors
 from fibrous.bitsets import bits, is_subset
@@ -46,11 +47,52 @@ def test_g_rejects_invalid_family():
         functor_G_obj(FiniteTopology(2, (0, 1, 2)))
 
 
+def _g_witness_by_definition(gi):
+    """The section picks ``(full set, x)``; the meet of ``(U, x)`` and
+    ``(V, x)`` is ``(U & V, x)``, looked up in ``index``."""
+    X, index = gi.X, gi.index
+    full = (1 << X.nB) - 1
+    s = tuple(index[(full, x)] for x in range(X.nB))
+    m = {
+        (i, j): index[(X.R[i] & X.R[j], x)]
+        for x, fiber in enumerate(X.fibers)
+        for i in fiber
+        for j in fiber
+    }
+    return SpatialWitness(s, m)
+
+
 def test_g_images_pass_axioms_on_all_small_topologies():
-    for n in range(4):
+    for n in range(5):
         for T in enumerate_topologies(n):
             gi = functor_G_obj(T)
+            ref = _g_witness_by_definition(gi)
+            # same tables, same insertion order, built once
+            assert gi.w == ref and list(gi.w.m) == list(ref.m)
+            assert gi.w is gi.w
             assert check_axioms(gi.X, gi.w).passed
+
+
+def test_round_trips_never_build_a_witness(monkeypatch):
+    def unbuilt(self):
+        raise AssertionError("the G-image witness was built")
+
+    monkeypatch.setattr(functors.GImage, "w", property(unbuilt))
+    for n in range(5):
+        for T in enumerate_topologies(n):
+            assert roundtrip_FG(T).passed
+    for seed in range(20):
+        X, _ = random_spatial_preorder(seed)
+        roundtrip_GF(X)
+    gis = [functor_G_obj(T) for T in enumerate_topologies(2)]
+    for gi in gis:
+        for gip in gis:
+            for f in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                try:
+                    mor = functor_G_mor(f, gi, gip)
+                except NotContinuousError:
+                    continue
+                assert verify_morphism(gi.X, gip.X, mor).passed
 
 
 def test_g_mor_identity_equals_identity_morphism():

@@ -93,6 +93,16 @@ def test_compose_with_identity_is_equivalent():
     assert equivalent(right, CONST1)
 
 
+def test_compose_names_the_morphism_with_a_bad_base_map():
+    short = FibrousMorphism((1,), CONST1.fstar)
+    with pytest.raises(StructureError, match="^first morphism's f has 1 entries"):
+        compose(GS.X, GS.X, GS.X, short, CONST1)
+    with pytest.raises(StructureError, match="^second morphism's f has 1 entries"):
+        compose(GS.X, GS.X, GS.X, CONST1, short)
+    with pytest.raises(StructureError, match=r"^f has 1 entries"):
+        verify_morphism(GS.X, GS.X, short)
+
+
 def test_compose_matches_g_of_composite():
     comp = compose(GS.X, GS.X, GS.X, CONST1, CONST1)
     direct = functor_G_mor((1, 1), GS, GS)

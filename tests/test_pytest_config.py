@@ -63,7 +63,10 @@ def test_failing_property_does_not_stop_the_session(tmp_path):
 def test_fixed_defect_and_mistyped_mark_fail(tmp_path, pytestconfig):
     assert pytestconfig.getini("xfail_strict") is True
     assert "--strict-markers" in pytestconfig.getini("addopts")
+    assert pytestconfig.getini("strict_markers") is True
     out = _run_pytest(tmp_path, {"test_xpass.py": XPASS})
     assert "XPASS(strict)" in out and "1 failed" in out
+    # pytest's own mark check, not the warning gate turning
+    # PytestUnknownMarkWarning into an error
     out = _run_pytest(tmp_path, {"test_typo.py": TYPO})
-    assert "slwo" in out and "1 error" in out
+    assert "'slwo' not found in `markers`" in out and "1 error" in out
