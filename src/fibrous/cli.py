@@ -39,8 +39,8 @@ from .lazy import (
     sample_check,
 )
 from .morphisms import (
-    FIRST_F,
-    SECOND_F,
+    FIRST,
+    SECOND,
     compose,
     morphism_from_json,
     morphism_to_json,
@@ -193,8 +193,8 @@ def _cmd_compose(args) -> int:
     Xc = _load_carrier(args.target)
     m1 = morphism_from_json(_load_json(args.first))
     m2 = morphism_from_json(_load_json(args.second))
-    rep1 = verify_morphism(Xa, Xb, m1, verbose=args.verbose, name=FIRST_F)
-    rep2 = verify_morphism(Xb, Xc, m2, verbose=args.verbose, name=SECOND_F)
+    rep1 = verify_morphism(Xa, Xb, m1, verbose=args.verbose, owner=FIRST)
+    rep2 = verify_morphism(Xb, Xc, m2, verbose=args.verbose, owner=SECOND)
     if not (rep1.passed and rep2.passed):
         first, second = rep1.to_json(), rep2.to_json()
         obj = {"command": "compose", "passed": False, "first": first, "second": second}

@@ -18,6 +18,23 @@ from typing import Callable, Iterator
 
 from .report import AxiomReport, Collector
 
+
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """Uniform draw from ``range(n)``, ``n > 0``, by the standard library's
+    own rejection rule (``Random._randbelow_with_getrandbits``): take
+    ``n.bit_length()`` bits and draw again while the value is ``n`` or more.
+    With ``getrandbits = rng.getrandbits``, ``seq[_below(getrandbits,
+    len(seq))]`` draws what ``rng.choice(seq)`` draws and ``a +
+    _below(getrandbits, b - a + 1)`` what ``rng.randint(a, b)`` draws, from
+    the same bits, so every shipped sampler replays from the ``getrandbits``
+    stream alone."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 @dataclass(frozen=True)
 class NeighborhoodOracle:
     """Interface record for a lazily presented spatial fibrous preorder.
@@ -148,8 +165,9 @@ def mk_indexed_family(
 
     def element_sampler(seed):
         rng = Random(seed)
+        getrandbits = rng.getrandbits
         while True:
-            yield (rng.randint(1, index_max), elem_point(rng))
+            yield (1 + _below(getrandbits, index_max), elem_point(rng))
 
     return NeighborhoodOracle(
         name=name,
@@ -164,17 +182,27 @@ def mk_indexed_family(
 
 
 @functools.cache
-def _q_rows(span: int, den: int) -> tuple[tuple[Fraction, ...], ...]:
+def _q_rows(span: int, den: int, absolute: bool = False) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(
-        tuple(Fraction(num, d) for d in range(1, den + 1)) for num in range(-span, span + 1)
+        tuple(Fraction(abs(num) if absolute else num, d) for d in range(1, den + 1))
+        for num in range(-span, span + 1)
     )
 
 
-def _draw_q(rng: Random, span: int = 24, den: int = 8) -> Fraction:
-    """``Fraction(randint(-span, span), randint(1, den))`` from a table: each
-    ``choice`` consumes the same ``_randbelow`` draw as the ``randint`` it
-    replaces, numerator first."""
-    return rng.choice(rng.choice(_q_rows(span, den)))
+def _q_draw(span: int, den: int, absolute: bool = False) -> Callable[[Random], Fraction]:
+    """Draw function for ``Fraction(randint(-span, span), randint(1, den))``
+    (its absolute value with ``absolute``), numerator first, read from a
+    table built once: row ``num + span`` holds ``num/1 .. num/den``, so the
+    two :func:`_below` indices consume the bits the two ``randint`` calls
+    would."""
+    rows = _q_rows(span, den, absolute)
+    n_rows = len(rows)
+
+    def draw(rng: Random) -> Fraction:
+        getrandbits = rng.getrandbits
+        return rows[_below(getrandbits, n_rows)][_below(getrandbits, den)]
+
+    return draw
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +258,15 @@ def _max_distance(x, y) -> tuple[int, int]:
 
 
 def metric_q() -> NeighborhoodOracle:
-    return mk_metric("metric-q", _q_distance, _draw_q)
+    return mk_metric("metric-q", _q_distance, _q_draw(24, 8))
 
 
 def metric_q2() -> NeighborhoodOracle:
     # max metric keeps distances rational
+    draw_q = _q_draw(8, 4)
+
     def draw(rng):
-        return (_draw_q(rng, 8, 4), _draw_q(rng, 8, 4))
+        return (draw_q(rng), draw_q(rng))
 
     return mk_metric("metric-q2", _max_distance, draw)
 
@@ -244,12 +274,12 @@ def metric_q2() -> NeighborhoodOracle:
 def natural_metric() -> NeighborhoodOracle:
     """The metric-q neighborhoods read as a neighborhood base: the base
     sets are the balls and the refinement witness is the ball index."""
-    return mk_metric("natural-metric", _q_distance, _draw_q)
+    return mk_metric("natural-metric", _q_distance, _q_draw(24, 8))
 
 
 def indexed_metric() -> NeighborhoodOracle:
     """The metric-q neighborhoods as a multiplicatively indexed family."""
-    return mk_metric("indexed-metric", _q_distance, _draw_q)
+    return mk_metric("indexed-metric", _q_distance, _q_draw(24, 8))
 
 
 def broken_metric_q() -> NeighborhoodOracle:
@@ -297,7 +327,7 @@ def mk_padic(p: int) -> NeighborhoodOracle:
         f"padic:{p}",
         relates,
         refine,
-        lambda rng: rng.randint(-10**4, 10**4),
+        lambda rng: _below(rng.getrandbits, 2 * 10**4 + 1) - 10**4,
         op=operator.add,
     )
 
@@ -358,6 +388,9 @@ class Word:
         return f"Word({pre}|{per})"
 
 
+_LETTERS = (0, 2)
+
+
 def mk_cantor() -> NeighborhoodOracle:
     """Prefix-agreement neighborhoods on eventually periodic words:
     ``rel((n, u), w)`` iff the first ``n`` letters coincide."""
@@ -371,9 +404,10 @@ def mk_cantor() -> NeighborhoodOracle:
         return n
 
     def draw(rng):
-        # choice(range(a, b + 1)) draws the same _randbelow as randint(a, b)
-        pre = tuple(map(rng.choice, repeat((0, 2), rng.choice(range(5)))))
-        per = tuple(map(rng.choice, repeat((0, 2), rng.choice(range(1, 5)))))
+        # a preperiod of 0-4 letters, then a period of 1-4
+        getrandbits = rng.getrandbits
+        pre = tuple([_LETTERS[_below(getrandbits, 2)] for _ in range(_below(getrandbits, 5))])
+        per = tuple([_LETTERS[_below(getrandbits, 2)] for _ in range(1 + _below(getrandbits, 4))])
         return Word(pre, per)
 
     return mk_indexed_family("cantor", relates, refine, draw, index_max=5)
@@ -408,6 +442,9 @@ def _min_shrink(n: int, D: tuple[int, int], scale: int) -> int:
         else:
             lo = mid + 1
     return lo
+
+
+_ZERO = Fraction(0)
 
 
 def mk_tangent_disk(strict_paper: bool = False) -> NeighborhoodOracle:
@@ -452,13 +489,12 @@ def mk_tangent_disk(strict_paper: bool = False) -> NeighborhoodOracle:
         scale = 2 if interior and not w_interior else 1
         return _min_shrink(n, _norm2(*offset(n, c, w)), scale)
 
+    draw_x = _q_draw(6, 4)
+    draw_y = _q_draw(6, 4, absolute=True)
+
     def draw(rng):
-        x = _draw_q(rng, 6, 4)
-        if rng.random() < 0.3:
-            y = Fraction(0)
-        else:
-            y = abs(_draw_q(rng, 6, 4))
-        return (x, y)
+        x = draw_x(rng)
+        return (x, _ZERO if rng.random() < 0.3 else draw_y(rng))
 
     def draw_interior(rng):
         while True:
@@ -524,7 +560,7 @@ def normed_q(dim: int) -> NeighborhoodOracle:
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
-    span, den = (24, 8) if dim == 1 else (8, 4)
+    draw_q = _q_draw(24, 8) if dim == 1 else _q_draw(8, 4)
 
     def relates(n, x, y):
         # n * |x_i - y_i| < 1 on every coordinate
@@ -539,7 +575,7 @@ def normed_q(dim: int) -> NeighborhoodOracle:
         return _norm_index(*_max_distance(x, y))
 
     def draw(rng):
-        return tuple(_draw_q(rng, span, den) for _ in range(dim))
+        return tuple([draw_q(rng) for _ in range(dim)])
 
     return mk_indexed_family(f"normed-q:{dim}", relates, refine, draw)
 
@@ -563,6 +599,7 @@ def check_normed_conditions(
     if not member(group.zero):
         col.add("NG1", {"seed": seed})
     rng = Random(seed)
+    getrandbits = rng.getrandbits
 
     def wit():  # the current round's witness, built only on a violation
         return {"seed": seed, "round": rnd, "a": a, "a2": a2, "n": n, "n2": n2}
@@ -570,8 +607,8 @@ def check_normed_conditions(
     for rnd in range(n_samples):
         a = group.draw_point(rng)
         a2 = group.draw_point(rng)
-        n = rng.randint(1, 4)
-        n2 = rng.randint(1, 4)
+        n = 1 + _below(getrandbits, 4)
+        n2 = 1 + _below(getrandbits, 4)
         if member(group.nsum(n * n2, a)) and not (
             member(group.nsum(n, a)) and member(group.nsum(n2, a))
         ):

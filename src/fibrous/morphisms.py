@@ -16,8 +16,9 @@ from .core import _expect_int_list, _expect_table
 from .report import AxiomReport, Collector, FormatError, StructureError
 
 
-# How errors name the base maps of the two morphisms that ``compose`` takes
-FIRST_F, SECOND_F = "first morphism's f", "second morphism's f"
+# How errors name the tables of the two morphisms that ``compose`` takes:
+# a prefix to "f" and "fstar"
+FIRST, SECOND = "first morphism's ", "second morphism's "
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ def verify_morphism(
     m: FibrousMorphism,
     verbose: bool = False,
     *,
-    name: str = "f",
+    owner: str = "",
 ) -> AxiomReport:
     """Check the two lifting conditions of a morphism ``X -> Xp``.
 
@@ -50,13 +51,14 @@ def verify_morphism(
     M2: the lifting's neighborhood maps into the target neighborhood.
 
     One :func:`~fibrous.core.misfits` pass checks both, M2 as "inside the
-    preimage of the target neighborhood".  A base map that is not total
-    (named ``name`` in the message) or a lifting table whose domain is not
-    exactly the fiber product raises :class:`StructureError`.
+    preimage of the target neighborhood".  A base map that is not total or
+    a lifting table whose domain is not exactly the fiber product raises
+    :class:`StructureError`; ``owner`` (such as :data:`FIRST`) goes before
+    ``f`` and ``fstar`` in its message.
     """
-    check_map(m.f, X.nB, Xp.nB, name)
+    check_map(m.f, X.nB, Xp.nB, owner + "f")
     fiber_product = ((a2, b) for b in range(X.nB) for a2 in Xp.fibers[m.f[b]])
-    check_table(m.fstar, fiber_product, X.nA, "fstar", "the fiber product")
+    check_table(m.fstar, fiber_product, X.nA, owner + "fstar", "the fiber product")
     col = Collector(verbose)
     pre = [preimage(m.f, row) for row in Xp.R]
     lifts = (((a2, b), t, b, pre[a2]) for (a2, b), t in m.fstar.items())
@@ -86,8 +88,8 @@ def compose(
     pass :func:`verify_morphism`; the result then passes as well.  A base
     map that is not total raises :class:`StructureError` naming its morphism.
     """
-    check_map(m1.f, X.nB, Xp.nB, FIRST_F)
-    check_map(m2.f, Xp.nB, Xpp.nB, SECOND_F)
+    check_map(m1.f, X.nB, Xp.nB, FIRST + "f")
+    check_map(m2.f, Xp.nB, Xpp.nB, SECOND + "f")
     gf = tuple(m2.f[m1.f[b]] for b in range(X.nB))
     table = {}
     for b in range(X.nB):

@@ -378,7 +378,7 @@ PINNED_M = PINNED_FILES["M"]
                  "m table must cover exactly the same-fiber pairs (missing [(0, 2), (1, 1), (2, 0)], extra [])",
                  id="m-missing-three"),
     pytest.param({**PINNED_M, "fstar": [[0, 0, 1], [2, 1, 2], [1, 0, 0], [1, 1, 1]]},
-                 "fstar table must cover exactly the fiber product"
+                 "first morphism's fstar table must cover exactly the fiber product"
                  " (missing [(0, 1), (2, 0)], extra [(1, 0), (1, 1)])", id="fstar-missing-and-extra"),
     pytest.param({**PINNED_G, "d": [[0, 1, 0], [1, 0, 1], [1, 1, 3], [2, 0, 1], [2, 1, 2]]},
                  "d[(1, 1)]=3 out of range", id="d-out-of-range"),
@@ -387,7 +387,7 @@ PINNED_M = PINNED_FILES["M"]
     pytest.param({**PINNED_G, "m": [[0, 0, -1], [0, 2, 0], [1, 1, 1], [2, 0, 0], [2, 2, 2]]},
                  "m[(0, 0)]=-1 out of range", id="m-negative"),
     pytest.param({**PINNED_M, "fstar": [[0, 0, 1], [0, 1, 2], [2, 0, -4], [2, 1, 3]]},
-                 "fstar[(2, 0)]=-4 out of range", id="fstar-negative"),
+                 "first morphism's fstar[(2, 0)]=-4 out of range", id="fstar-negative"),
     pytest.param({**PINNED_G, "s": [1, 2, 0]}, "s has 3 entries, expected 2", id="s-long"),
     pytest.param({**PINNED_M, "f": [1]}, "first morphism's f has 1 entries, expected 2", id="f-short"),
     pytest.param({**PINNED_M, "f": [1, 2]}, "first morphism's f[1]=2 out of range", id="f-out-of-range"),
@@ -409,10 +409,15 @@ def test_pinned_rejection(doc, message, tmp_path, capsys):
 @pytest.mark.parametrize("doc, message", [
     pytest.param({**PINNED_M, "f": [1]}, "second morphism's f has 1 entries, expected 2", id="f-short"),
     pytest.param({**PINNED_M, "f": [1, 2]}, "second morphism's f[1]=2 out of range", id="f-out-of-range"),
+    pytest.param({**PINNED_M, "fstar": [[0, 0, 1], [2, 1, 2], [1, 0, 0], [1, 1, 1]]},
+                 "second morphism's fstar table must cover exactly the fiber product"
+                 " (missing [(0, 1), (2, 0)], extra [(1, 0), (1, 1)])", id="fstar-missing-and-extra"),
+    pytest.param({**PINNED_M, "fstar": [[0, 0, 1], [0, 1, 2], [2, 0, -4], [2, 1, 3]]},
+                 "second morphism's fstar[(2, 0)]=-4 out of range", id="fstar-negative"),
 ])
 def test_pinned_rejection_of_second_morphism(doc, message, tmp_path, capsys):
-    """A bad base map in the second morphism of ``compose`` is named as the
-    second's, after a first morphism that fits."""
+    """A bad base map or lifting table in the second morphism of ``compose``
+    is named as the second's, after a first morphism that fits."""
     g = write(tmp_path, "g.json", PINNED_G)
     argv = ["compose", g, g, g, write(tmp_path, "m.json", PINNED_M), write(tmp_path, "doc.json", doc)]
     assert main(argv) == 2

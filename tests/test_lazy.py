@@ -1,8 +1,10 @@
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
+from itertools import islice
 from random import Random
 
 import pytest
@@ -27,8 +29,10 @@ from fibrous import (
     sample_check,
 )
 from fibrous.lazy import (
+    INSTANCE_NAMES,
     MODULUS_NAMES,
     _ball_index,
+    _below,
     _min_shrink,
     check_normed_conditions,
     norm_step_index,
@@ -220,16 +224,8 @@ def test_norm_step_index_clears_its_gap(q):
 
 
 def test_normed_conditions_hold_for_the_shipped_instance():
-    from fibrous.lazy import GroupDescription, _draw_q
-
-    group = GroupDescription(
-        zero=(F(0),),
-        add=lambda x, y: (x[0] + y[0],),
-        nsum=lambda n, x: (n * x[0],),
-        draw_point=lambda rng: (_draw_q(rng),),
-    )
     rep = check_normed_conditions(
-        group, lambda v: abs(v[0]) < 1, norm_step_index, n_samples=3000, seed=0
+        _normed_q1_group(), lambda v: abs(v[0]) < 1, norm_step_index, n_samples=3000, seed=0
     )
     assert rep.passed
 
@@ -375,13 +371,14 @@ def test_named_instance_errors():
 
 
 def _normed_q1_group():
-    from fibrous.lazy import GroupDescription, _draw_q
+    from fibrous.lazy import GroupDescription, _q_draw
 
+    draw_q = _q_draw(24, 8)
     return GroupDescription(
         zero=(F(0),),
         add=lambda x, y: (x[0] + y[0],),
         nsum=lambda n, x: (n * x[0],),
-        draw_point=lambda rng: (_draw_q(rng),),
+        draw_point=lambda rng: (draw_q(rng),),
     )
 
 
@@ -645,14 +642,132 @@ def test_norm_step_index_matches_reference():
         assert norm_step_index(v) == ref_norm_step_index(v), v
 
 
+# -- the draw kernel and the shipped samplers against the standard library ---
+#
+# Every shipped sampler draws through ``_below`` on ``rng.getrandbits``.  The
+# kernel must consume the same bits and return the same index as
+# ``rng.choice``, and each sampler must yield what its plain ``choice`` /
+# ``randint`` / ``random`` form below yields, equal in value and in type.
+
+KERNEL_BOUNDS = sorted(
+    {*range(1, 71), *(2**j + e for j in range(1, 41) for e in (-1, 0, 1)), 20_001, 2**70 + 3}
+)
+
+
+def test_below_draws_what_choice_draws():
+    for n in KERNEL_BOUNDS:
+        for seed in range(5):
+            ours, stdlib = Random(seed), Random(seed)
+            # a range longer than sys.maxsize has no len(), so choice cannot
+            # take it; randrange(n) makes the same _randbelow(n) draw
+            draw = stdlib.randrange if n > sys.maxsize else lambda n: stdlib.choice(range(n))
+            getrandbits = ours.getrandbits
+            drawn = [_below(getrandbits, n) for _ in range(200)]
+            assert drawn == [draw(n) for _ in range(200)], (n, seed)
+            assert ours.getstate() == stdlib.getstate(), (n, seed)
+
+
+def ref_q(rng, span=24, den=8):
+    return F(rng.randint(-span, span), rng.randint(1, den))
+
+
+def ref_word(rng):
+    pre = tuple(rng.choice((0, 2)) for _ in range(rng.randint(0, 4)))
+    per = tuple(rng.choice((0, 2)) for _ in range(rng.randint(1, 4)))
+    return Word(pre, per)
+
+
+def ref_half_plane(rng):
+    x = ref_q(rng, 6, 4)
+    if rng.random() < 0.3:
+        y = F(0)
+    else:
+        y = abs(ref_q(rng, 6, 4))
+    return (x, y)
+
+
+def ref_interior(rng):
+    while True:
+        pt = ref_half_plane(rng)
+        if pt[1] > 0:
+            return pt
+
+
+def ref_q_vector(rng):
+    return (ref_q(rng),)
+
+
+def ref_q_pair(rng):
+    return (ref_q(rng, 8, 4), ref_q(rng, 8, 4))
+
+
+def ref_integer(rng):
+    return rng.randint(-10**4, 10**4)
+
+
+# oracle name -> (point draw, element point draw, largest element index)
+REFERENCE_SAMPLERS = {
+    "metric-q": (ref_q, ref_q, 4),
+    "metric-q2": (ref_q_pair, ref_q_pair, 4),
+    "padic:2": (ref_integer, ref_integer, 4),
+    "padic:3": (ref_integer, ref_integer, 4),
+    "padic:5": (ref_integer, ref_integer, 4),
+    "cantor": (ref_word, ref_word, 5),
+    "tangent-disk": (ref_half_plane, ref_half_plane, 4),
+    "tangent-disk:strict-paper": (ref_half_plane, ref_interior, 4),
+    "normed-q:1": (ref_q_vector, ref_q_vector, 4),
+    "normed-q:2": (ref_q_pair, ref_q_pair, 4),
+    "indexed-metric": (ref_q, ref_q, 4),
+    "natural-metric": (ref_q, ref_q, 4),
+}
+
+
+def _typed(v):
+    # the value with the type of every leaf, so that 0 == F(0) does not pass
+    if type(v) is tuple:
+        return tuple(map(_typed, v))
+    return (type(v), v)
+
+
+def _reference_streams(name, seed):
+    draw_point, draw_element_point, index_max = REFERENCE_SAMPLERS[name]
+    points, elems = Random(seed), Random(seed)
+    while True:
+        yield draw_point(points), (elems.randint(1, index_max), draw_element_point(elems))
+
+
+def test_every_instance_name_has_a_reference_sampler():
+    for key in INSTANCE_NAMES:
+        prefix, param, _ = key.partition("<")
+        assert any(name == key or param and name.startswith(prefix) for name in REFERENCE_SAMPLERS), key
+
+
+def _spaces(name):
+    if name in MODULUS_NAMES:
+        mor = named_modulus(name)
+        return [mor.source, mor.target]
+    return [named_instance(name)]
+
+
+@pytest.mark.parametrize("name", [*REFERENCE_SAMPLERS, *MODULUS_NAMES])
+def test_samplers_draw_what_their_stdlib_form_draws(name):
+    for oracle in _spaces(name):
+        for seed in range(5):
+            ours = zip(oracle.point_sampler(seed), oracle.element_sampler(seed))
+            expected = _reference_streams(oracle.name, seed)
+            assert list(map(_typed, islice(ours, 2000))) == list(
+                map(_typed, islice(expected, 2000))
+            ), (oracle.name, seed)
+
+
 # -- pinned draw streams and boundary decisions ------------------------------
 #
 # A passing report cannot show a shifted draw stream or a boundary decided
 # the other way.  These pin, at seed 0 over 2,000 rounds, how many times
 # each checker called ``rel`` and how many of those calls returned True.
 # They were recorded with the Fraction-based oracles and the randint-based
-# draws, so they also check that ``rng.choice`` draws the same stream on
-# every supported Python.
+# draws, so they also check that the ``_below`` draws on ``getrandbits``
+# give the same streams on every supported Python.
 
 REL_COUNTS = {
     "metric-q": (10585, 2811),

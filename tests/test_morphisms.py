@@ -1,4 +1,5 @@
 import random
+import re
 from collections import defaultdict
 from itertools import product
 
@@ -19,6 +20,7 @@ from fibrous import (
     verify_morphism,
 )
 from fibrous.functors import NotContinuousError
+from fibrous.morphisms import FIRST, SECOND
 
 SIERPINSKI = FiniteTopology(2, (0, 2, 3))
 DISCRETE2 = FiniteTopology(2, (0, 1, 2, 3))
@@ -101,6 +103,16 @@ def test_compose_names_the_morphism_with_a_bad_base_map():
         compose(GS.X, GS.X, GS.X, CONST1, short)
     with pytest.raises(StructureError, match=r"^f has 1 entries"):
         verify_morphism(GS.X, GS.X, short)
+
+
+def test_verify_morphism_names_the_owner_of_a_bad_lifting_table():
+    key = next(iter(CONST1.fstar))
+    bad = FibrousMorphism(CONST1.f, {**CONST1.fstar, key: -1})
+    for owner in ("", FIRST, SECOND):
+        with pytest.raises(StructureError, match="^" + re.escape(f"{owner}fstar[{key}]=-1 out")):
+            verify_morphism(GS.X, GS.X, bad, owner=owner)
+    with pytest.raises(StructureError, match=r"^fstar table must cover exactly"):
+        verify_morphism(GS.X, GS.X, FibrousMorphism(CONST1.f, {}))
 
 
 def test_compose_matches_g_of_composite():
