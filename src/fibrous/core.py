@@ -13,7 +13,7 @@ from functools import cached_property
 from itertools import chain, product
 from operator import itemgetter
 
-from .bitsets import bits, from_points, to_points
+from .bitsets import bits, first_outside, from_points, to_points
 from .report import AxiomReport, Collector, FormatError, StructureError
 
 
@@ -43,14 +43,11 @@ class FinFibrousPreorder:
             raise StructureError(f"p has {len(self.p)} entries, expected {self.nA}")
         if len(self.R) != self.nA:
             raise StructureError(f"R has {len(self.R)} rows, expected {self.nA}")
-        top = (1 << self.nB) - 1
-        for a, x in enumerate(self.p):
-            if not 0 <= x < self.nB:
-                raise StructureError(f"p[{a}]={x} out of range")
-        for a, row in enumerate(self.R):
-            if not 0 <= row <= top:
-                raise StructureError(f"R[{a}] has bits outside the base set")
-        related = ((a, b) for a in range(self.nA) for b in bits(self.R[a]))
+        _check_values(self.p, enumerate(self.p), self.nB, "p")
+        bad = first_outside(self.R, self.nB)
+        if bad is not None:
+            raise StructureError(f"R[{bad}] has bits outside the base set")
+        related = [(a, b) for a, row in enumerate(self.R) for b in bits(row)]
         check_table(self.d, related, self.nA, "d", "the related pairs")
 
     @cached_property
@@ -118,7 +115,7 @@ def misfits(col: Collector, over_tag: str, inside_tag: str | None, p, R, rows) -
             found.append((key, over_tag, key))
         escaped = R[t] & ~S
         if escaped:
-            found.append((key, inside_tag, key + (next(bits(escaped)),)))
+            found.append((key, inside_tag, key + (bits(escaped)[0],)))
     found.sort(key=itemgetter(0))
     for _, tag, witness in found:
         col.add(tag, witness)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import count
 from random import Random
 
 from .bitsets import bits, full_mask, is_subset, preimage, to_points
@@ -77,16 +78,17 @@ def functor_G_obj(T: FiniteTopology) -> GImage:
     rep = validate_topology(T)
     if not rep.passed:
         raise ValueError(f"input family is not a topology: {rep.to_json()}")
-    labels = tuple((u, x) for u in T.opens for x in bits(u))
-    index = {lab: i for i, lab in enumerate(labels)}
-    p = tuple(x for _, x in labels)
-    R = tuple(u for u, _ in labels)
-    d = {
-        (i, y): index[(u, y)]
-        for i, (u, _) in enumerate(labels)
-        for y in bits(u)
-    }
-    return GImage(FinFibrousPreorder(T.nB, len(labels), p, R, d), T, index)
+    p, R, first = [], [], {}
+    for u in T.opens:
+        first[u] = len(p)
+        pts = bits(u)
+        p += pts
+        R += [u] * len(pts)
+    # the elements over U are contiguous and in point order, so (U, y) is
+    # the first element over U plus the rank of y in U
+    d = {(i, y): t for i, u in enumerate(R) for t, y in enumerate(bits(u), first[u])}
+    index = dict(zip(zip(R, p), count()))
+    return GImage(FinFibrousPreorder(T.nB, len(p), p, R, d), T, index)
 
 
 def functor_G_mor(f, gi: GImage, gip: GImage) -> FibrousMorphism:

@@ -594,6 +594,10 @@ def check_normed_conditions(
     n-fold sum of ``a`` and the h(a)-fold sum of ``a2`` are members, so is
     the n-fold sum of ``a + a2``.  (At zero NG3 is vacuous: the refinement
     never consults ``h`` there.)
+
+    The conditions are checked on the caller's ``group``, ``member`` and
+    ``h``.  The shipped :func:`normed_q` oracle is not built from a
+    :class:`GroupDescription`, so a pass here says nothing about it.
     """
     col = Collector()
     if not member(group.zero):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable
 
-from .bitsets import bits, full_mask, is_subset, to_points
+from .bitsets import bits, first_outside, full_mask, is_subset, to_points
 from .core import _expect_point_count, _expect_point_lists, _is_int
 from .report import AxiomReport, Collector, FormatError
 
@@ -38,10 +38,9 @@ class FiniteTopology:
     def __post_init__(self):
         if self.nB < 0:
             raise ValueError("point count must be non-negative")
-        top = full_mask(self.nB)
-        for mask in self.opens:
-            if not 0 <= mask <= top:
-                raise ValueError(f"open set {mask:#b} has bits outside the base set")
+        bad = first_outside(self.opens, self.nB)
+        if bad is not None:
+            raise ValueError(f"open set {self.opens[bad]:#b} has bits outside the base set")
         object.__setattr__(self, "opens", tuple(sorted(set(self.opens))))
 
 
@@ -55,10 +54,10 @@ def validate_topology(T: FiniteTopology, verbose: bool = False) -> AxiomReport:
     full = full_mask(T.nB)
     if full not in members:
         col.add("full", (to_points(full),))
-    for u in T.opens:
-        for v in T.opens:
-            if v < u:
-                continue
+    # opens are sorted and unique, so each unordered pair comes once, u <= v
+    opens = T.opens
+    for i, u in enumerate(opens):
+        for v in opens[i:]:
             if u | v not in members:
                 col.add("union", (to_points(u), to_points(v)))
             if u & v not in members:

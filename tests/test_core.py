@@ -105,6 +105,33 @@ def test_structural_errors_are_not_violations():
             check_axioms(gi.X, SpatialWitness(gi.w.s, {**gi.w.m, key: t}))
 
 
+# Each constructor message, in check order: sizes, p length, R length, p
+# range, R range, then the d table.  A two-fault input shows which check runs
+# first, and a row fault names the first bad row, not the extreme value.
+@pytest.mark.parametrize("args, message", [
+    ((-1, 0, (), (), {}), "sizes must be non-negative"),
+    ((1, 2, (0,), (1, 1), {}), "p has 1 entries, expected 2"),
+    ((1, 2, (0,), (1,), {}), "p has 1 entries, expected 2"),
+    ((1, 1, (0,), (), {}), "R has 0 rows, expected 1"),
+    ((1, 1, (5,), (), {}), "R has 0 rows, expected 1"),
+    ((2, 3, (0, 2, -1), (1, 2, 1), {}), "p[1]=2 out of range"),
+    ((1, 1, (-1,), (1,), {}), "p[0]=-1 out of range"),
+    ((1, 1, (3,), (4,), {}), "p[0]=3 out of range"),
+    ((2, 3, (0, 1, 0), (1, 5, -1), {}), "R[1] has bits outside the base set"),
+    ((2, 1, (0,), (-1,), {}), "R[0] has bits outside the base set"),
+    ((1, 1, (0,), (2,), {(0, 0): 9}), "R[0] has bits outside the base set"),
+    ((1, 1, (0,), (1,), {}),
+     "d table must cover exactly the related pairs (missing [(0, 0)], extra [])"),
+    ((1, 1, (0,), (1,), {(0, 1): 0}),
+     "d table must cover exactly the related pairs (missing [(0, 0)], extra [(0, 1)])"),
+    ((1, 2, (0, 0), (1, 1), {(0, 0): 0, (1, 0): 2}), "d[(1, 0)]=2 out of range"),
+])
+def test_preorder_constructor_messages(args, message):
+    with pytest.raises(StructureError) as exc:
+        FinFibrousPreorder(*args)
+    assert str(exc.value) == message
+
+
 def test_neighborhood_values():
     gi = functor_G_obj(SIERPINSKI)
     assert (gi.X.R[0], gi.X.p[0]) == (2, 1)

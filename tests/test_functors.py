@@ -66,6 +66,13 @@ def test_g_images_pass_axioms_on_all_small_topologies():
     for n in range(5):
         for T in enumerate_topologies(n):
             gi = functor_G_obj(T)
+            X, index = gi.X, gi.index
+            # elements are the (open set, point) pairs in order; the
+            # refinement of ((U, x), y) is (U, y) by definition
+            assert list(index) == [(u, x) for u in T.opens for x in bits(u)]
+            assert list(index.values()) == list(range(X.nA))
+            ref_d = {(i, y): index[(X.R[i], y)] for i in range(X.nA) for y in bits(X.R[i])}
+            assert X.d == ref_d and list(X.d) == list(ref_d)
             ref = _g_witness_by_definition(gi)
             # same tables, same insertion order, built once
             assert gi.w == ref and list(gi.w.m) == list(ref.m)

@@ -43,6 +43,47 @@ def test_opens_are_canonicalized():
     assert T == SIERPINSKI
 
 
+@pytest.mark.parametrize("args, message", [
+    ((-1, (0, 9)), "point count must be non-negative"),
+    ((2, (0, 8, 3, 5)), "open set 0b1000 has bits outside the base set"),
+    ((2, (0, 3, -1, 4)), "open set -0b1 has bits outside the base set"),
+    ((2, (0, 4, -1)), "open set 0b100 has bits outside the base set"),
+    ((0, (0, 1)), "open set 0b1 has bits outside the base set"),
+])
+def test_topology_constructor_messages(args, message):
+    with pytest.raises(ValueError) as exc:
+        FiniteTopology(*args)
+    assert str(exc.value) == message
+
+
+def _validate_by_definition(T):
+    """Every ordered pair with ``u <= v``, as in the definition."""
+    members = set(T.opens)
+    found = []
+    if 0 not in members:
+        found.append(("empty", ()))
+    full = (1 << T.nB) - 1
+    if full not in members:
+        found.append(("full", (bits(full),)))
+    for u in T.opens:
+        for v in T.opens:
+            if v < u:
+                continue
+            if u | v not in members:
+                found.append(("union", (bits(u), bits(v))))
+            if u & v not in members:
+                found.append(("intersection", (bits(u), bits(v))))
+    return [(tag, tuple(map(list, wit))) for tag, wit in found]
+
+
+def test_validate_walks_every_pair_in_definition_order():
+    for n in range(4):
+        for fam in range(1 << (1 << n)):
+            T = FiniteTopology(n, tuple(s for s in range(1 << n) if fam >> s & 1))
+            rep = validate_topology(T, verbose=True)
+            assert list(rep.violations) == _validate_by_definition(T)
+
+
 def test_specialization_sierpinski():
     theta, leq = specialization(SIERPINSKI)
     assert theta == (3, 2)
