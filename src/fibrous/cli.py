@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 from itertools import chain
@@ -154,10 +155,14 @@ def _cmd_to_top(args) -> int:
 
 def _cmd_from_top(args) -> int:
     T = topology_from_json(_load_json(args.input))
-    rep = validate_topology(T, verbose=args.verbose)
-    if not rep.passed:
+    try:
+        gi = functor_G_obj(T)
+    except ValueError:
+        # functor_G_obj validates T; the report is built only when it fails
+        rep = validate_topology(T, verbose=args.verbose)
+        if rep.passed:
+            raise
         return _verdict(args, "from-top", rep, ["topology axioms: fail"])
-    gi = functor_G_obj(T)
     payload = preorder_to_json(gi.X, gi.w)
     indented = (json.dumps(p, sort_keys=True, indent=2) for p in [payload])
     return _emit(args, EXIT_OK, payload, indented)
@@ -369,11 +374,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    # The finite commands build large acyclic tables and the package makes
+    # no reference cycles, so the cyclic collector would only rescan live
+    # objects: pause it while the command runs.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.handler(args)
     except (FormatError, StructureError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def script_main() -> None:

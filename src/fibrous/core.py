@@ -47,8 +47,15 @@ class FinFibrousPreorder:
         bad = first_outside(self.R, self.nB)
         if bad is not None:
             raise StructureError(f"R[{bad}] has bits outside the base set")
-        related = [(a, b) for a, row in enumerate(self.R) for b in bits(row)]
-        check_table(self.d, related, self.nA, "d", "the related pairs")
+        R = self.R
+        check_table(
+            self.d,
+            lambda: ((a, b) for a, row in enumerate(R) for b in bits(row)),
+            sum(map(int.bit_count, R)),
+            self.nA,
+            "d",
+            "the related pairs",
+        )
 
     @cached_property
     def fibers(self) -> tuple[tuple[int, ...], ...]:
@@ -68,15 +75,19 @@ class FinFibrousPreorder:
         return None
 
 
-def check_table(table: dict, domain, n_values: int, name: str, pairs: str) -> None:
+def check_table(
+    table: dict, domain, size: int, n_values: int, name: str, pairs: str
+) -> None:
     """Raise :class:`StructureError` unless the keys of ``table`` are exactly
-    the keys in ``domain`` and every value lies in ``range(n_values)``;
-    ``pairs`` names the domain in the message.  ``domain`` yields each key
-    once.  The passes over the entries run in C; the sets of missing and
-    extra keys and the first bad value are built only on failure."""
-    keys = list(domain)
-    if len(keys) != len(table) or not all(map(table.__contains__, keys)):
-        expected = set(keys)
+    the ``size`` keys that ``domain()`` yields and every value lies in
+    ``range(n_values)``; ``pairs`` names the domain in the message.
+
+    ``domain()`` returns a fresh iterator over the keys, each once.  The
+    keys are streamed through one pass in C, not stored; only on failure is
+    ``domain()`` called again to name the missing and extra keys, or the
+    first bad value looked for."""
+    if size != len(table) or not all(map(table.__contains__, domain())):
+        expected = set(domain())
         missing = sorted(expected - table.keys())
         extra = sorted(table.keys() - expected)
         raise StructureError(
@@ -149,8 +160,15 @@ class EquivalenceWitness:
 def validate_witness(X: FinFibrousPreorder, w: SpatialWitness) -> None:
     """Raise :class:`StructureError` unless ``w`` is structurally valid for ``X``."""
     check_map(w.s, X.nB, X.nA, "s")
-    same_fiber = chain.from_iterable(product(fiber, repeat=2) for fiber in X.fibers)
-    check_table(w.m, same_fiber, X.nA, "m", "the same-fiber pairs")
+    fibers = X.fibers
+    check_table(
+        w.m,
+        lambda: chain.from_iterable(product(fiber, repeat=2) for fiber in fibers),
+        sum(len(fiber) ** 2 for fiber in fibers),
+        X.nA,
+        "m",
+        "the same-fiber pairs",
+    )
 
 
 def check_axioms(

@@ -57,8 +57,15 @@ def verify_morphism(
     ``f`` and ``fstar`` in its message.
     """
     check_map(m.f, X.nB, Xp.nB, owner + "f")
-    fiber_product = ((a2, b) for b in range(X.nB) for a2 in Xp.fibers[m.f[b]])
-    check_table(m.fstar, fiber_product, X.nA, owner + "fstar", "the fiber product")
+    fibers, f = Xp.fibers, m.f
+    check_table(
+        m.fstar,
+        lambda: ((a2, b) for b, y in enumerate(f) for a2 in fibers[y]),
+        sum(len(fibers[y]) for y in f),
+        X.nA,
+        owner + "fstar",
+        "the fiber product",
+    )
     col = Collector(verbose)
     pre = [preimage(m.f, row) for row in Xp.R]
     lifts = (((a2, b), t, b, pre[a2]) for (a2, b), t in m.fstar.items())

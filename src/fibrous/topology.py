@@ -153,25 +153,29 @@ def enumerate_topologies(n: int) -> list[FiniteTopology]:
     if not 0 <= n <= 6:
         raise ValueError("enumeration supports at most 6 points")
     choices = [[m for m in range(1 << n) if m >> x & 1] for x in range(n)]
-    theta = [0] * n
     found = []
-
-    def place(x):
-        if x == n:
-            found.append(union_closure(theta))
-            return
-        earlier = list(enumerate(theta[:x]))
-        for t in choices[x]:
-            for y, ty in earlier:
-                if ty >> x & 1 and t & ~ty or t >> y & 1 and ty & ~t:
-                    break
-            else:
-                theta[x] = t
-                place(x + 1)
-
-    place(0)
+    _place(0, [0] * n, choices, found)
     found.sort()
     return [FiniteTopology(n, opens) for opens in found]
+
+
+def _place(x: int, theta: list[int], choices: list[list[int]], found: list) -> None:
+    # One backtracking step of enumerate_topologies: try each row for point
+    # x, recurse on x + 1, and append the union closure of each complete
+    # assignment to found.  Module level, not a nested function: a closure
+    # that calls itself is a reference cycle through its own cell, and would
+    # keep found alive until the cyclic collector runs.
+    if x == len(theta):
+        found.append(union_closure(theta))
+        return
+    earlier = list(enumerate(theta[:x]))
+    for t in choices[x]:
+        for y, ty in earlier:
+            if ty >> x & 1 and t & ~ty or t >> y & 1 and ty & ~t:
+                break
+        else:
+            theta[x] = t
+            _place(x + 1, theta, choices, found)
 
 
 def topology_to_json(T: FiniteTopology, points: Callable[[int], list[int]] = to_points) -> dict:

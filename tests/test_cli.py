@@ -483,6 +483,23 @@ def test_witness_is_validated_once(argv, sierpinski_g, monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_from_top_validates_the_topology_once(sierpinski_top, monkeypatch, capsys):
+    import fibrous.cli as cli
+    import fibrous.functors as functors
+
+    calls = []
+    original = functors.validate_topology
+
+    def counted(T, verbose=False):
+        calls.append(T)
+        return original(T, verbose)
+
+    monkeypatch.setattr(cli, "validate_topology", counted)
+    monkeypatch.setattr(functors, "validate_topology", counted)
+    assert main(["from-top", sierpinski_top, "--json"]) == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize(
     "command, files",
     [
