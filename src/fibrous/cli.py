@@ -47,7 +47,7 @@ from .morphisms import (
     morphism_to_json,
     verify_morphism,
 )
-from .report import FormatError, StructureError, jsonable
+from .report import FormatError, jsonable
 from .topology import (
     enumerate_topologies,
     topology_from_json,
@@ -381,7 +381,7 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         return args.handler(args)
-    except (FormatError, StructureError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:

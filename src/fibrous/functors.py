@@ -22,6 +22,7 @@ from .core import (
     FinFibrousPreorder,
     SpatialWitness,
     _cover,
+    check_map,
     verify_equivalence,
 )
 from .morphisms import FibrousMorphism
@@ -101,8 +102,7 @@ def functor_G_mor(f, gi: GImage, gip: GImage) -> FibrousMorphism:
     """
     T, Tp = gi.T, gip.T
     f = tuple(f)
-    if len(f) != T.nB or any(not 0 <= t < Tp.nB for t in f):
-        raise ValueError("point map does not fit the two base sets")
+    check_map(f, T.nB, Tp.nB, "f")
     opens = set(T.opens)
     pre = {up: preimage(f, up) for up in Tp.opens}
     for up, u in pre.items():
@@ -209,27 +209,16 @@ def random_spatial_preorder(
         for _ in range(rng.randint(0, max_elements - len(base))):
             elems.append(rng.choice(base))
         rng.shuffle(elems)
-        nA = len(elems)
         p = tuple(x for _, x in elems)
         R = tuple(u for u, _ in elems)
-        d = {}
-        for i, (u, _) in enumerate(elems):
-            for y in bits(u):
-                candidates = [
-                    j for j, (v, z) in enumerate(elems) if z == y and is_subset(v, u)
-                ]
-                d[(i, y)] = rng.choice(candidates)
-        s = tuple(
-            rng.choice([i for i in range(nA) if p[i] == x]) for x in range(nB)
-        )
-        m = {}
-        for i in range(nA):
-            for j in range(nA):
-                if p[i] != p[j]:
-                    continue
-                meet = R[i] & R[j]
-                candidates = [
-                    t for t in range(nA) if p[t] == p[i] and is_subset(R[t], meet)
-                ]
-                m[(i, j)] = rng.choice(candidates)
-        return FinFibrousPreorder(nB, nA, p, R, d), SpatialWitness(s, m)
+        fibers = [[] for _ in range(nB)]
+        for i, x in enumerate(p):
+            fibers[x].append(i)
+
+        def pick(x, S):
+            return rng.choice([t for t in fibers[x] if is_subset(R[t], S)])
+
+        d = {(i, y): pick(y, u) for i, u in enumerate(R) for y in bits(u)}
+        s = tuple(pick(x, full_mask(nB)) for x in range(nB))
+        m = {(i, j): pick(x, R[i] & R[j]) for i, x in enumerate(p) for j in fibers[x]}
+        return FinFibrousPreorder(nB, len(p), p, R, d), SpatialWitness(s, m)

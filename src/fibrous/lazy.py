@@ -271,17 +271,6 @@ def metric_q2() -> NeighborhoodOracle:
     return mk_metric("metric-q2", _max_distance, draw)
 
 
-def natural_metric() -> NeighborhoodOracle:
-    """The metric-q neighborhoods read as a neighborhood base: the base
-    sets are the balls and the refinement witness is the ball index."""
-    return mk_metric("natural-metric", _q_distance, _q_draw(24, 8))
-
-
-def indexed_metric() -> NeighborhoodOracle:
-    """The metric-q neighborhoods as a multiplicatively indexed family."""
-    return mk_metric("indexed-metric", _q_distance, _q_draw(24, 8))
-
-
 def broken_metric_q() -> NeighborhoodOracle:
     """Mutant of ``metric-q`` whose refinement index sits one below the
     admissible bound; exists to prove the sampled checker can catch it."""
@@ -704,8 +693,9 @@ _INSTANCES = {
     "tangent-disk": mk_tangent_disk,
     "tangent-disk:strict-paper": lambda: mk_tangent_disk(strict_paper=True),
     "normed-q:<d>": normed_q,
-    "indexed-metric": indexed_metric,
-    "natural-metric": natural_metric,
+    # aliases of metric-q that existing command lines still name
+    "indexed-metric": metric_q,
+    "natural-metric": metric_q,
 }
 INSTANCE_NAMES = tuple(_INSTANCES)
 

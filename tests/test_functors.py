@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from fibrous import (
@@ -11,6 +14,7 @@ from fibrous import (
     functor_F_obj_brute,
     functor_G_mor,
     functor_G_obj,
+    preorder_to_json,
     random_spatial_preorder,
     roundtrip_FG,
     roundtrip_GF,
@@ -21,6 +25,7 @@ from fibrous import (
 from fibrous import functors
 from fibrous.bitsets import bits, is_subset
 from fibrous.functors import BRUTE_LIMIT, NotContinuousError
+from fibrous.report import StructureError
 
 SIERPINSKI = FiniteTopology(2, (0, 2, 3))
 
@@ -116,6 +121,18 @@ def test_g_mor_rejects_non_continuous_with_witness():
     with pytest.raises(NotContinuousError) as exc:
         functor_G_mor((0, 1), indiscrete, discrete)
     assert exc.value.witness_open == [0]
+
+
+@pytest.mark.parametrize(
+    "f, message",
+    [((0,), "f has 1 entries, expected 2"), ((0, 5), "f[1]=5 out of range")],
+    ids=["short", "out-of-range"],
+)
+def test_g_mor_rejects_a_map_that_does_not_fit(f, message):
+    gi = functor_G_obj(SIERPINSKI)
+    with pytest.raises(StructureError) as exc:
+        functor_G_mor(f, gi, gi)
+    assert str(exc.value) == message
 
 
 def test_g_mor_matches_continuity_by_definition():
@@ -278,3 +295,17 @@ def test_random_generator_is_deterministic_and_bounded():
         if len(set(zip(X.R, X.p))) < X.nA:
             seen_duplicate_labels = True
     assert seen_duplicate_labels  # generator exercises non-injective carriers
+
+
+# one sha256 over the JSON of seeds 0-999 at three sizes: any change to the
+# generator's draws, or to the order of its rng calls, changes it
+RANDOM_DRAWS_SHA256 = "b92e8cbf22d237a7672d47690122dbbdf10c7a570a42f6360d6eb934a70ccf4c"
+
+
+def test_random_generator_draws_are_pinned():
+    h = hashlib.sha256()
+    for size in ((), (3, 8), (6, 20)):
+        for seed in range(1000):
+            X, w = random_spatial_preorder(seed, *size)
+            h.update(json.dumps(preorder_to_json(X, w), sort_keys=True).encode())
+    assert h.hexdigest() == RANDOM_DRAWS_SHA256

@@ -23,8 +23,6 @@ from fibrous import (
     mk_tangent_disk,
     named_instance,
     named_modulus,
-    natural_metric,
-    indexed_metric,
     normed_q,
     sample_check,
 )
@@ -234,8 +232,8 @@ def test_normed_conditions_hold_for_the_shipped_instance():
 
 def test_natural_and_indexed_recapture_metric_relations():
     base = metric_q()
-    nat = natural_metric()
-    idx = indexed_metric()
+    nat = named_instance("natural-metric")
+    idx = named_instance("indexed-metric")
     elems = base.element_sampler(10)
     pts = base.point_sampler(11)
     for _ in range(400):
