@@ -327,6 +327,15 @@ def _all_of(values, cls: type) -> bool:
     )
 
 
+def _expect_object(obj, keys) -> None:
+    """Raise :class:`FormatError` unless ``obj`` is a JSON object with every key."""
+    if not isinstance(obj, dict):
+        raise FormatError("expected a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise FormatError(f'missing key "{key}"')
+
+
 def _expect_int_list(obj, key: str) -> list[int]:
     val = obj.get(key)
     if not isinstance(val, list) or not _all_of(val, int):
@@ -380,11 +389,7 @@ def preorder_from_json(obj) -> tuple[FinFibrousPreorder, SpatialWitness | None]:
     semantic breaches of the carrier :class:`StructureError`.  The spatial
     witness is only parsed: :func:`check_axioms` (or
     :func:`validate_witness`) checks it against the carrier."""
-    if not isinstance(obj, dict):
-        raise FormatError("expected a JSON object")
-    for key in ("nB", "nA", "p", "R", "d"):
-        if key not in obj:
-            raise FormatError(f'missing key "{key}"')
+    _expect_object(obj, ("nB", "nA", "p", "R", "d"))
     nB, nA = obj["nB"], obj["nA"]
     if not (_is_int(nB) and _is_int(nA)):
         raise FormatError('"nB" and "nA" must be integers')

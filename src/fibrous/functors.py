@@ -11,9 +11,9 @@ produces a verified equivalence witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import count
 from random import Random
 
 from .bitsets import bits, full_mask, is_subset, preimage, to_points
@@ -45,14 +45,18 @@ class GImage:
     """Carrier built from the topology ``T``, with its witness.
 
     Element ``a`` is the (open-set bitset, point) pair ``(X.R[a], X.p[a])``;
-    no two elements share a pair, and ``index`` maps each pair to its element.
+    elements are sorted by pair, so :meth:`element` finds each from its pair.
     The witness ``w`` is built on its first read: the round trips and
     :func:`functor_G_mor` never read it.
     """
 
     X: FinFibrousPreorder
     T: FiniteTopology
-    index: dict[tuple[int, int], int] = field(repr=False, compare=False)
+
+    def element(self, u: int, y: int) -> int:
+        """The element ``(u, y)``, for ``y`` in the open set ``u``: the first
+        element over ``u`` plus the number of points of ``u`` below ``y``."""
+        return bisect_left(self.X.R, u) + (u & ((1 << y) - 1)).bit_count()
 
     @cached_property
     def w(self) -> SpatialWitness:
@@ -60,7 +64,7 @@ class GImage:
         ``(V, x)`` is ``(U & V, x)``, looked up among the fiber of ``x``."""
         R = self.X.R
         full = full_mask(self.T.nB)
-        s = tuple(self.index[(full, x)] for x in range(self.T.nB))
+        s = tuple(self.element(full, x) for x in range(self.T.nB))
         m = {}
         for fiber in self.X.fibers:
             at = {R[i]: i for i in fiber}
@@ -85,11 +89,9 @@ def functor_G_obj(T: FiniteTopology) -> GImage:
         pts = bits(u)
         p += pts
         R += [u] * len(pts)
-    # the elements over U are contiguous and in point order, so (U, y) is
-    # the first element over U plus the rank of y in U
+    # d[(i, y)] is GImage.element(R[i], y), with first[U] in place of a bisect
     d = {(i, y): t for i, u in enumerate(R) for t, y in enumerate(bits(u), first[u])}
-    index = dict(zip(zip(R, p), count()))
-    return GImage(FinFibrousPreorder(T.nB, len(p), p, R, d), T, index)
+    return GImage(FinFibrousPreorder(T.nB, len(p), p, R, d), T)
 
 
 def functor_G_mor(f, gi: GImage, gip: GImage) -> FibrousMorphism:
@@ -108,10 +110,8 @@ def functor_G_mor(f, gi: GImage, gip: GImage) -> FibrousMorphism:
     for up, u in pre.items():
         if u not in opens:
             raise NotContinuousError(to_points(up))
-    fstar = {}
-    for y in range(T.nB):
-        for i in gip.X.fibers[f[y]]:
-            fstar[(i, y)] = gi.index[(pre[gip.X.R[i]], y)]
+    fibers, R = gip.X.fibers, gip.X.R
+    fstar = {(i, y): gi.element(pre[R[i]], y) for y in range(T.nB) for i in fibers[f[y]]}
     return FibrousMorphism(f, fstar)
 
 
@@ -160,12 +160,12 @@ def roundtrip_GF(X: FinFibrousPreorder) -> EquivalenceWitness:
     """
     T = functor_F_obj(X)
     gbar = functor_G_obj(T)
-    try:
-        phi = tuple(gbar.index[(X.R[a], X.p[a])] for a in range(X.nA))
-    except KeyError:
-        raise StructureError(
-            "some neighborhood is not open; input violates F1-F3"
-        ) from None
+    for a, (x, u) in enumerate(zip(X.p, X.R)):
+        if not u >> x & 1:
+            raise StructureError(
+                f"element {a} is outside its own neighborhood; input violates F2"
+            )
+    phi = tuple(map(gbar.element, X.R, X.p))
     gamma = _cover(gbar.X, X)
     if gamma is None:
         raise StructureError("no element fits an open set; input violates F1-F6")

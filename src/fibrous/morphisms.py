@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from .bitsets import preimage
 from .core import FinFibrousPreorder, check_map, check_table, misfits
-from .core import _expect_int_list, _expect_table
-from .report import AxiomReport, Collector, FormatError, StructureError
+from .core import _expect_int_list, _expect_object, _expect_table
+from .report import AxiomReport, Collector, StructureError
 
 
 # How errors name the tables of the two morphisms that ``compose`` takes:
@@ -126,9 +126,6 @@ def morphism_to_json(m: FibrousMorphism) -> dict:
 
 
 def morphism_from_json(obj) -> FibrousMorphism:
-    if not isinstance(obj, dict):
-        raise FormatError("expected a JSON object")
-    if "f" not in obj or "fstar" not in obj:
-        raise FormatError('missing key "f" or "fstar"')
+    _expect_object(obj, ("f", "fstar"))
     f = _expect_int_list(obj, "f")
     return FibrousMorphism(tuple(f), _expect_table(obj, "fstar"))

@@ -14,7 +14,7 @@ from itertools import product
 from typing import Callable
 
 from .bitsets import bits, first_outside, full_mask, is_subset, to_points
-from .core import _expect_point_count, _expect_point_lists, _is_int
+from .core import _expect_object, _expect_point_count, _expect_point_lists, _is_int
 from .report import AxiomReport, Collector, FormatError
 
 # Number of distinct topologies on 0..6 labelled points (OEIS A000798); the
@@ -186,10 +186,7 @@ def topology_to_json(T: FiniteTopology, points: Callable[[int], list[int]] = to_
 
 
 def topology_from_json(obj) -> FiniteTopology:
-    if not isinstance(obj, dict):
-        raise FormatError("expected a JSON object")
-    if "nB" not in obj or "opens" not in obj:
-        raise FormatError('missing key "nB" or "opens"')
+    _expect_object(obj, ("nB", "opens"))
     nB = obj["nB"]
     if not _is_int(nB):
         raise FormatError('"nB" must be an integer')

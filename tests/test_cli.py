@@ -610,6 +610,34 @@ def test_schema_error_exits_two(tmp_path, capsys):
     assert "missing key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, obj, message",
+    [
+        ("check", [], "expected a JSON object"),
+        ("check", {"nB": 1, "nA": 1, "R": []}, 'missing key "p"'),
+        ("from-top", [], "expected a JSON object"),
+        ("from-top", {"opens": []}, 'missing key "nB"'),
+        ("compose", [], "expected a JSON object"),
+        ("compose", {"f": []}, 'missing key "fstar"'),
+    ],
+    ids=[f"{cmd}-{case}" for cmd in ("check", "from-top", "compose") for case in ("list", "key")],
+)
+def test_json_readers_name_the_first_missing_key(
+    command, obj, message, tmp_path, sierpinski_g, capsys
+):
+    bad = write(tmp_path, "bad.json", obj)
+    if command == "compose":
+        ident = identity_morphism(functor_G_obj(SIERPINSKI).X)
+        m = write(tmp_path, "m.json", morphism_to_json(ident))
+        argv = ["compose", sierpinski_g, sierpinski_g, sierpinski_g, m, bad]
+    else:
+        argv = [command, bad]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_usage_errors(capsys):
     assert main(["no-such-verb"]) == 2
     assert main(["sample"]) == 2

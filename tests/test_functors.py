@@ -1,5 +1,7 @@
 import hashlib
 import json
+from dataclasses import fields
+from itertools import product
 
 import pytest
 
@@ -14,6 +16,7 @@ from fibrous import (
     functor_F_obj_brute,
     functor_G_mor,
     functor_G_obj,
+    morphism_to_json,
     preorder_to_json,
     random_spatial_preorder,
     roundtrip_FG,
@@ -39,7 +42,8 @@ def test_g_on_one_point_space():
 def test_g_sierpinski_structure():
     gi = functor_G_obj(SIERPINSKI)
     assert gi.T == SIERPINSKI
-    assert gi.index == {(2, 1): 0, (3, 0): 1, (3, 1): 2}
+    assert [f.name for f in fields(gi)] == ["X", "T"]
+    assert [gi.element(u, x) for u, x in ((2, 1), (3, 0), (3, 1))] == [0, 1, 2]
     assert gi.X.p == (1, 0, 1)
     assert gi.X.R == (2, 3, 3)
     assert gi.X.d[(1, 1)] == 2  # refining (full, 0) at point 1 gives (full, 1)
@@ -52,10 +56,11 @@ def test_g_rejects_invalid_family():
         functor_G_obj(FiniteTopology(2, (0, 1, 2)))
 
 
-def _g_witness_by_definition(gi):
+def _g_witness_by_definition(gi, index):
     """The section picks ``(full set, x)``; the meet of ``(U, x)`` and
-    ``(V, x)`` is ``(U & V, x)``, looked up in ``index``."""
-    X, index = gi.X, gi.index
+    ``(V, x)`` is ``(U & V, x)``, looked up in ``index``, a dict from each
+    (open set, point) pair to its element."""
+    X = gi.X
     full = (1 << X.nB) - 1
     s = tuple(index[(full, x)] for x in range(X.nB))
     m = {
@@ -71,14 +76,16 @@ def test_g_images_pass_axioms_on_all_small_topologies():
     for n in range(5):
         for T in enumerate_topologies(n):
             gi = functor_G_obj(T)
-            X, index = gi.X, gi.index
-            # elements are the (open set, point) pairs in order; the
-            # refinement of ((U, x), y) is (U, y) by definition
-            assert list(index) == [(u, x) for u in T.opens for x in bits(u)]
-            assert list(index.values()) == list(range(X.nA))
+            X = gi.X
+            # elements are the (open set, point) pairs in order, and element
+            # finds each; the refinement of ((U, x), y) is (U, y) by definition
+            pairs = list(zip(X.R, X.p))
+            assert pairs == [(u, x) for u in T.opens for x in bits(u)]
+            assert [gi.element(u, x) for u, x in pairs] == list(range(X.nA))
+            index = {pair: a for a, pair in enumerate(pairs)}
             ref_d = {(i, y): index[(X.R[i], y)] for i in range(X.nA) for y in bits(X.R[i])}
             assert X.d == ref_d and list(X.d) == list(ref_d)
-            ref = _g_witness_by_definition(gi)
+            ref = _g_witness_by_definition(gi, index)
             # same tables, same insertion order, built once
             assert gi.w == ref and list(gi.w.m) == list(ref.m)
             assert gi.w is gi.w
@@ -137,8 +144,6 @@ def test_g_mor_rejects_a_map_that_does_not_fit(f, message):
 
 def test_g_mor_matches_continuity_by_definition():
     # the continuity check must reject exactly the maps with a bad preimage
-    from itertools import product
-
     gis = [functor_G_obj(T) for T in enumerate_topologies(2)]
     for gi in gis:
         for gip in gis:
@@ -261,6 +266,24 @@ def test_roundtrip_gf_on_g_image_is_bijective():
         assert gi.X.R[back] & ~gi.X.R[a] == 0
 
 
+@pytest.mark.parametrize(
+    "p, R, error, message",
+    [
+        ((0, 0), (0b001, 0b110), StructureError,
+         "element 1 is outside its own neighborhood; input violates F2"),
+        ((0,), (0b111,), StructureError,
+         "no element fits an open set; input violates F1-F6"),
+        ((0,), (0b001,), ValueError, "input family is not a topology: "),
+    ],
+    ids=["F2", "no-fit", "not-a-topology"],
+)
+def test_roundtrip_gf_rejects_a_carrier_off_the_axioms(p, R, error, message):
+    d = {(a, y): 0 for a, u in enumerate(R) for y in bits(u)}
+    with pytest.raises(error) as exc:
+        roundtrip_GF(FinFibrousPreorder(3, len(p), p, R, d))
+    assert type(exc.value) is error and str(exc.value).startswith(message)
+
+
 def test_roundtrip_gf_random_instances():
     for seed in range(30):
         X, _ = random_spatial_preorder(seed)
@@ -309,3 +332,30 @@ def test_random_generator_draws_are_pinned():
             X, w = random_spatial_preorder(seed, *size)
             h.update(json.dumps(preorder_to_json(X, w), sort_keys=True).encode())
     assert h.hexdigest() == RANDOM_DRAWS_SHA256
+
+
+# one sha256 over G on morphisms and the gf round trip: the JSON of
+# functor_G_mor (or the open set NotContinuousError names) for every point map
+# between topologies on 0-3 points, then the (phi, gamma) of roundtrip_GF on
+# every G-image on 0-4 points and on the random carriers pinned above
+G_OUTPUTS_SHA256 = "72992590aad6c421c826de9840df9ba8988fc0dd2c16b4b195f5bbe7a0a0be04"
+
+
+def test_g_outputs_are_pinned():
+    h = hashlib.sha256()
+    small = [functor_G_obj(T) for n in range(4) for T in enumerate_topologies(n)]
+    for gi in small:
+        for gj in small:
+            for f in product(range(gj.T.nB), repeat=gi.T.nB):
+                try:
+                    out = morphism_to_json(functor_G_mor(f, gi, gj))
+                except NotContinuousError as exc:
+                    out = exc.witness_open
+                h.update(json.dumps(out).encode())
+    carriers = [functor_G_obj(T).X for n in range(5) for T in enumerate_topologies(n)]
+    for size in ((), (3, 8), (6, 20)):
+        carriers += [random_spatial_preorder(seed, *size)[0] for seed in range(1000)]
+    for X in carriers:
+        wit = roundtrip_GF(X)
+        h.update(json.dumps([wit.phi, wit.gamma]).encode())
+    assert h.hexdigest() == G_OUTPUTS_SHA256

@@ -45,9 +45,9 @@ def test_identity_lifting_is_the_element_itself():
 def test_g_image_of_constant_map_passes():
     assert verify_morphism(GS.X, GS.X, CONST1).passed
     # lifting of the small open over its point recenters the full preimage
-    small = GS.index[(2, 1)]
-    full0 = GS.index[(3, 0)]
-    full1 = GS.index[(3, 1)]
+    small = GS.element(2, 1)
+    full0 = GS.element(3, 0)
+    full1 = GS.element(3, 1)
     assert CONST1.fstar[(small, 0)] == full0
     assert CONST1.fstar[(small, 1)] == full1
 
@@ -56,9 +56,9 @@ def test_deliberately_bad_lifting_fails_condition_two():
     f = (0, 1)
     mor = functor_G_mor(f, GD, GS)
     assert verify_morphism(GD.X, GS.X, mor).passed
-    small = GS.index[(2, 1)]
+    small = GS.element(2, 1)
     bad_table = dict(mor.fstar)
-    bad_table[(small, 1)] = GD.index[(3, 1)]  # neighborhood {0,1} escapes f^-1({1})
+    bad_table[(small, 1)] = GD.element(3, 1)  # neighborhood {0,1} escapes f^-1({1})
     bad = FibrousMorphism(f, bad_table)
     rep = verify_morphism(GD.X, GS.X, bad)
     assert ("M2", (small, 1, 0)) in rep.violations
@@ -80,9 +80,9 @@ def test_lifting_domain_mismatch_is_structural():
 
 def test_condition_one_violation():
     # reroute one lifting to an element over the wrong point
-    small = GS.index[(2, 1)]
+    small = GS.element(2, 1)
     table = dict(CONST1.fstar)
-    table[(small, 0)] = GS.index[(3, 1)]
+    table[(small, 0)] = GS.element(3, 1)
     rep = verify_morphism(GS.X, GS.X, FibrousMorphism(CONST1.f, table))
     assert ("M1", (small, 0)) in rep.violations
 
@@ -123,9 +123,9 @@ def test_compose_matches_g_of_composite():
 
 
 def test_equivalent_ignores_liftings():
-    small = GS.index[(2, 1)]
+    small = GS.element(2, 1)
     alt = dict(CONST1.fstar)
-    alt[(small, 1)] = GS.index[(2, 1)]  # N = {1} also maps into {1}
+    alt[(small, 1)] = GS.element(2, 1)  # N = {1} also maps into {1}
     other = FibrousMorphism(CONST1.f, alt)
     assert verify_morphism(GS.X, GS.X, other).passed
     assert other.fstar != CONST1.fstar
