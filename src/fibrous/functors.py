@@ -158,13 +158,12 @@ def roundtrip_GF(X: FinFibrousPreorder) -> EquivalenceWitness:
     least-index element over the point whose neighborhood fits inside the
     open set.  The witness is verified before being returned.
     """
-    T = functor_F_obj(X)
-    gbar = functor_G_obj(T)
     for a, (x, u) in enumerate(zip(X.p, X.R)):
         if not u >> x & 1:
             raise StructureError(
                 f"element {a} is outside its own neighborhood; input violates F2"
             )
+    gbar = functor_G_obj(functor_F_obj(X))
     phi = tuple(map(gbar.element, X.R, X.p))
     gamma = _cover(gbar.X, X)
     if gamma is None:

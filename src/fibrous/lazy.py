@@ -379,10 +379,17 @@ class Word:
 
 _LETTERS = (0, 2)
 
+# the words the cantor sampler has drawn, keyed by the drawn letters: at most
+# 31 preperiods times 30 periods, so at most 930 entries
+_word = functools.cache(Word)
+
 
 def mk_cantor() -> NeighborhoodOracle:
     """Prefix-agreement neighborhoods on eventually periodic words:
-    ``rel((n, u), w)`` iff the first ``n`` letters coincide."""
+    ``rel((n, u), w)`` iff the first ``n`` letters coincide.
+
+    The samplers draw through one process-wide table of words, so equal
+    draws hand back one shared :class:`Word`; words are frozen values."""
 
     def relates(n, u, w):
         return u.prefix(n) == w.prefix(n)
@@ -397,19 +404,13 @@ def mk_cantor() -> NeighborhoodOracle:
         getrandbits = rng.getrandbits
         pre = tuple([_LETTERS[_below(getrandbits, 2)] for _ in range(_below(getrandbits, 5))])
         per = tuple([_LETTERS[_below(getrandbits, 2)] for _ in range(1 + _below(getrandbits, 4))])
-        return Word(pre, per)
+        return _word(pre, per)
 
     return mk_indexed_family("cantor", relates, refine, draw, index_max=5)
 
 
 # ---------------------------------------------------------------------------
 # the half-plane with disk-tangent boundary neighborhoods
-
-def _norm2(p: int, q: int, r: int, s: int) -> tuple[int, int]:
-    """``(p/q)**2 + (r/s)**2`` as an unreduced pair."""
-    qq, ss = q * q, s * s
-    return p * p * ss + r * r * qq, qq * ss
-
 
 def _min_shrink(n: int, D: tuple[int, int], scale: int) -> int:
     # least k with scale/k < 1/n and (1/n - scale/k)^2 > D, where
@@ -444,6 +445,10 @@ def mk_tangent_disk(strict_paper: bool = False) -> NeighborhoodOracle:
     tangent to the axis plus the point itself; with ``strict_paper`` they
     get the plain half-disk instead.  In strict mode the element sampler
     stays on interior points; boundary points still appear as query points.
+    The relation and the refinement read coordinates through
+    ``as_integer_ratio()``, so Fractions and ints both work.  The samplers
+    draw coordinates from tables built once, so equal draws may share one
+    Fraction.
     """
 
     def check_point(w):
@@ -451,32 +456,43 @@ def mk_tangent_disk(strict_paper: bool = False) -> NeighborhoodOracle:
             raise ValueError("point below the horizontal axis")
         return w
 
-    def offset(n, c, w):
-        # (dx, dy) from w to the center of the radius-1/n ball at c, as two
-        # (num, den) pairs: c itself, or (c[0], 1/n) for the tangent ball
-        if c[1].numerator > 0 or strict_paper:
-            return _q_distance(c[0], w[0]) + _q_distance(c[1], w[1])
-        wn, wd = w[1].as_integer_ratio()
-        return _q_distance(c[0], w[0]) + (wd - n * wn, n * wd)
+    def dist2(n, c, w):
+        # squared distance from w to the center of the radius-1/n ball at c
+        # (c itself, or (c[0], 1/n) for the tangent ball) as an unreduced
+        # pair; None when w is the axis point c, which the tangent ball omits
+        wy, wyd = w[1].as_integer_ratio()
+        if wy < 0:
+            raise ValueError("point below the horizontal axis")
+        cx, cxd = c[0].as_integer_ratio()
+        wx, wxd = w[0].as_integer_ratio()
+        cy, cyd = c[1].as_integer_ratio()
+        if cy > 0 or strict_paper:
+            dy, dyd = cy * wyd - wy * cyd, cyd * wyd
+        else:
+            if wy == cy and wyd == cyd and wx == cx and wxd == cxd:
+                return None
+            dy, dyd = wyd - n * wy, n * wyd
+        dx, dxd = cx * wxd - wx * cxd, cxd * wxd
+        dxd *= dxd
+        dyd *= dyd
+        return dx * dx * dyd + dy * dy * dxd, dxd * dyd
 
     def relates(n, c, w):
-        check_point(w)
-        if c[1].numerator <= 0 and w == c:
-            return True
-        num, den = _norm2(*offset(n, c, w))
-        return num * n * n < den
+        d = dist2(n, c, w)
+        return d is None or d[0] * n * n < d[1]
 
     def refine(n, c, w):
-        if not relates(n, c, w):
+        d = dist2(n, c, w)
+        if d is not None and d[0] * n * n >= d[1]:
             raise ValueError("delta is only defined on related pairs")
         if w == c:
             return n
         interior, w_interior = c[1].numerator > 0, w[1].numerator > 0
         if strict_paper and not interior and not w_interior:
             return _ball_index(n, *_q_distance(w[0], c[0]))
-        # otherwise w lies strictly inside the ball around offset's center
+        # otherwise w lies strictly inside the ball whose center dist2 measures
         scale = 2 if interior and not w_interior else 1
-        return _min_shrink(n, _norm2(*offset(n, c, w)), scale)
+        return _min_shrink(n, d, scale)
 
     draw_x = _q_draw(6, 4)
     draw_y = _q_draw(6, 4, absolute=True)
@@ -488,7 +504,7 @@ def mk_tangent_disk(strict_paper: bool = False) -> NeighborhoodOracle:
     def draw_interior(rng):
         while True:
             pt = draw(rng)
-            if pt[1] > 0:
+            if pt[1].numerator > 0:
                 return pt
 
     oracle = mk_indexed_family(

@@ -271,11 +271,15 @@ def test_roundtrip_gf_on_g_image_is_bijective():
     [
         ((0, 0), (0b001, 0b110), StructureError,
          "element 1 is outside its own neighborhood; input violates F2"),
+        # the neighborhoods do not cover the points, so F2 must be checked
+        # before G rejects F(X) as no topology
+        ((0,), (0b010,), StructureError,
+         "element 0 is outside its own neighborhood; input violates F2"),
         ((0,), (0b111,), StructureError,
          "no element fits an open set; input violates F1-F6"),
         ((0,), (0b001,), ValueError, "input family is not a topology: "),
     ],
-    ids=["F2", "no-fit", "not-a-topology"],
+    ids=["F2", "F2-not-a-topology", "no-fit", "not-a-topology"],
 )
 def test_roundtrip_gf_rejects_a_carrier_off_the_axioms(p, R, error, message):
     d = {(a, y): 0 for a, u in enumerate(R) for y in bits(u)}

@@ -4,7 +4,7 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
-from itertools import islice
+from itertools import islice, product
 from random import Random
 
 import pytest
@@ -32,6 +32,7 @@ from fibrous.lazy import (
     _ball_index,
     _below,
     _min_shrink,
+    _word,
     check_normed_conditions,
     norm_step_index,
 )
@@ -140,6 +141,38 @@ def test_cantor_examples():
     assert o.delta((2, u), w) == (2, w)
 
 
+def _letter_tuples(lengths):
+    return [t for k in lengths for t in product((0, 2), repeat=k)]
+
+
+def test_word_table_builds_what_word_builds():
+    # every (preperiod, period) pair the cantor sampler can draw
+    keys = list(product(_letter_tuples(range(5)), _letter_tuples(range(1, 5))))
+    assert len(keys) == 930
+    for pre, per in keys:
+        w, ref = _word(pre, per), Word(pre, per)
+        assert w == ref and repr(w) == repr(ref), (pre, per)
+        assert _word(pre, per) is w
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_word_table_leaves_cantor_checks_unchanged(seed):
+    runs = []
+    for cold in (True, False):
+        if cold:
+            _word.cache_clear()
+        counts = Counter()
+        rep = sample_check(_counting(mk_cantor(), counts), 2000, seed)
+        runs.append((rep.to_json(), counts))
+    assert runs[0] == runs[1]
+
+
+def test_word_table_stays_bounded():
+    _word.cache_clear()
+    assert sample_check(mk_cantor(), 10_000, 0).passed
+    assert 0 < _word.cache_info().currsize <= 930
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(st.sampled_from((0, 2)), max_size=5).map(tuple),
@@ -181,11 +214,16 @@ def test_tangent_disk_strict_mode_differs_only_at_the_axis():
 
 
 def test_tangent_disk_rejects_lower_half_plane():
-    o = mk_tangent_disk()
-    with pytest.raises(ValueError):
-        o.rel((1, (F(0), F(0))), (F(0), F(-1)))
-    with pytest.raises(ValueError):
-        o.unit((F(0), F(-1, 2)))
+    below = (F(0), F(-1, 2))
+    for o in (mk_tangent_disk(), mk_tangent_disk(strict_paper=True)):
+        for c in ((F(0), F(0)), (F(0), F(1)), (0, 0)):
+            for call in (o.rel, o.delta):
+                with pytest.raises(ValueError) as exc:
+                    call((1, c), below)
+                assert str(exc.value) == "point below the horizontal axis"
+        with pytest.raises(ValueError) as exc:
+            o.unit(below)
+        assert str(exc.value) == "point below the horizontal axis"
 
 
 def test_tangent_disk_delta_shrinks_exactly():
@@ -535,6 +573,20 @@ def _q(*coords):
     return tuple(F(c) for c in coords)
 
 
+# half-plane points that are equal in value but distinct objects, and points
+# with plain int coordinates, on the axis and off it
+TANGENT_EQUAL_VALUES = [
+    ((F(1, 2), F(0)), (F(2, 4), F(0, 3))),
+    ((F(1, 2), F(1, 3)), (F(2, 4), F(2, 6))),
+    ((1, 0), (1, 0)),
+    ((1, 0), (F(1), F(0))),
+    ((F(1), F(0)), (1, 0)),
+    ((0, 1), (0, 1)),
+    ((0, 1), (F(1, 4), 1)),
+    ((0, 0), (0, F(1, 3))),
+    ((2, 0), (F(9, 4), 0)),
+]
+
 # name -> (Fraction reference (rel, refine), exact boundary pairs (x, y));
 # every boundary pair is tried at every index up to MAX_INDEX
 KERNEL_REFERENCES = {
@@ -563,13 +615,15 @@ KERNEL_REFERENCES = {
         + [(_q(0, 0), _q(0, F(2, n))) for n in range(1, MAX_INDEX + 1)]  # top of the tangent ball
         + [(_q(0, 0), _q(F(1, n), F(1, n))) for n in range(1, MAX_INDEX + 1)]  # its side
         + [(_q(0, 0), _q(0, F(1, n))) for n in range(1, MAX_INDEX + 1)]  # its center
-        + [(_q(0, 0), _q(F(1, 5), 0)), (_q(0, 0), _q(0, 0)), (_q(0, F(1, 4)), _q(F(1, 8), 0))],
+        + [(_q(0, 0), _q(F(1, 5), 0)), (_q(0, 0), _q(0, 0)), (_q(0, F(1, 4)), _q(F(1, 8), 0))]
+        + TANGENT_EQUAL_VALUES,
     ),
     "tangent-disk:strict-paper": (
         ref_tangent(strict=True),
         [(_q(0, 0), _q(F(1, n), 0)) for n in range(1, MAX_INDEX + 1)]  # axis, at the radius
         + [(_q(0, 0), _q(0, F(1, n))) for n in range(1, MAX_INDEX + 1)]
-        + [(_q(0, 0), _q(F(1, 7), 0)), (_q(0, 0), _q(0, 0)), (_q(0, F(1, 4)), _q(F(1, 8), 0))],
+        + [(_q(0, 0), _q(F(1, 7), 0)), (_q(0, 0), _q(0, 0)), (_q(0, F(1, 4)), _q(F(1, 8), 0))]
+        + TANGENT_EQUAL_VALUES,
     ),
     "cantor": (
         ref_cantor(),
