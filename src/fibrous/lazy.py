@@ -257,18 +257,36 @@ def _max_distance(x, y) -> tuple[int, int]:
     return best_num, best_den
 
 
+def _in_max_ball(n, x, y) -> bool:
+    """Whether ``n * |x_i - y_i| < 1`` on every coordinate of two rational
+    vectors, that is ``_max_distance(x, y) < 1/n``; stops at the first
+    coordinate that fails."""
+    for xi, yi in zip(x, y):
+        xn, xd = xi.as_integer_ratio()
+        yn, yd = yi.as_integer_ratio()
+        if abs(xn * yd - yn * xd) * n >= xd * yd:
+            return False
+    return True
+
+
 def metric_q() -> NeighborhoodOracle:
     return mk_metric("metric-q", _q_distance, _q_draw(24, 8))
 
 
 def metric_q2() -> NeighborhoodOracle:
-    # max metric keeps distances rational
+    """Rational pairs with radius-1/n balls of the max metric, which keeps
+    distances rational: the relation is :func:`_in_max_ball` and the
+    refinement index :func:`_ball_index`, as :func:`mk_metric` would build
+    them from ``_max_distance``."""
     draw_q = _q_draw(8, 4)
+
+    def refine(n, x, y):
+        return _ball_index(n, *_max_distance(x, y))
 
     def draw(rng):
         return (draw_q(rng), draw_q(rng))
 
-    return mk_metric("metric-q2", _max_distance, draw)
+    return mk_indexed_family("metric-q2", _in_max_ball, refine, draw)
 
 
 def broken_metric_q() -> NeighborhoodOracle:
@@ -285,14 +303,34 @@ def broken_metric_q() -> NeighborhoodOracle:
 # ---------------------------------------------------------------------------
 # residue neighborhoods on the integers
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the least odd composite that is a strong probable prime to all of
+# _PRIME_BASES (Sorenson and Webster 2015), so the test is exact below it
+_PRIME_BOUND = 318_665_857_834_031_151_167_461
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin test to the bases 2 to 37; raises
+    ``ValueError`` from ``_PRIME_BOUND`` on, where it is no longer exact."""
+    if p >= _PRIME_BOUND:
+        raise ValueError(f"primality is only decided below {_PRIME_BOUND}")
     if p < 2:
         return False
-    i = 2
-    while i * i <= p:
-        if p % i == 0:
+    for q in _PRIME_BASES:
+        if p % q == 0:
+            return p == q
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2**s with d odd
+    d = (p - 1) >> s
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        i += 1
     return True
 
 
@@ -335,13 +373,18 @@ def broken_padic(p: int) -> NeighborhoodOracle:
 # ---------------------------------------------------------------------------
 # eventually periodic binary-alphabet words
 
+# the letters a Word's mask covers
+_HEAD_LETTERS = 64
+
+
 @dataclass(frozen=True)
 class Word:
     """Eventually periodic infinite word over {0, 2}, canonical form.
 
     Canonicalization makes the period primitive and absorbs any preperiod
     tail that matches the rotated period, so equal infinite words compare
-    equal as values.
+    equal as values.  ``head`` masks the first 64 letters, bit ``i`` set iff
+    letter ``i`` is 2; it is an attribute, not a field.
     """
 
     pre: tuple[int, ...]
@@ -363,6 +406,9 @@ class Word:
             per = (per[-1],) + per[:-1]
         object.__setattr__(self, "pre", pre)
         object.__setattr__(self, "per", per)
+        # not a field, so ==, hash and repr still read pre and per alone
+        head = sum(1 << i for i, c in enumerate(self.prefix(_HEAD_LETTERS)) if c == 2)
+        object.__setattr__(self, "head", head)
 
     def prefix(self, n: int) -> tuple[int, ...]:
         """The first ``n`` letters."""
@@ -377,11 +423,18 @@ class Word:
         return f"Word({pre}|{per})"
 
 
-_LETTERS = (0, 2)
+@functools.cache
+def _coded_word(n_pre: int, pre_code: int, n_per: int, per_code: int) -> Word:
+    """The word whose preperiod and period are the ``n_pre`` and ``n_per``
+    letters coded by the bits of ``pre_code`` and ``per_code``, first letter
+    in the highest bit, a 1 bit for the letter 2.  The cache is the
+    process-wide table of the words the cantor sampler has drawn: at most
+    31 preperiods times 30 periods, so at most 930 entries."""
 
-# the words the cantor sampler has drawn, keyed by the drawn letters: at most
-# 31 preperiods times 30 periods, so at most 930 entries
-_word = functools.cache(Word)
+    def letters(n, code):
+        return tuple([2 * (code >> i & 1) for i in range(n - 1, -1, -1)])
+
+    return Word(letters(n_pre, pre_code), letters(n_per, per_code))
 
 
 def mk_cantor() -> NeighborhoodOracle:
@@ -392,6 +445,10 @@ def mk_cantor() -> NeighborhoodOracle:
     draws hand back one shared :class:`Word`; words are frozen values."""
 
     def relates(n, u, w):
+        if u is w:
+            return True
+        if n <= _HEAD_LETTERS:
+            return not (u.head ^ w.head) & ((1 << n) - 1)
         return u.prefix(n) == w.prefix(n)
 
     def refine(n, u, w):
@@ -400,11 +457,18 @@ def mk_cantor() -> NeighborhoodOracle:
         return n
 
     def draw(rng):
-        # a preperiod of 0-4 letters, then a period of 1-4
+        # a preperiod of 0-4 letters, then a period of 1-4, one _below call
+        # per length and per letter in that order, so a seed replays its bits
         getrandbits = rng.getrandbits
-        pre = tuple([_LETTERS[_below(getrandbits, 2)] for _ in range(_below(getrandbits, 5))])
-        per = tuple([_LETTERS[_below(getrandbits, 2)] for _ in range(1 + _below(getrandbits, 4))])
-        return _word(pre, per)
+        n_pre = _below(getrandbits, 5)
+        pre_code = 0
+        for _ in range(n_pre):
+            pre_code = 2 * pre_code + _below(getrandbits, 2)
+        n_per = 1 + _below(getrandbits, 4)
+        per_code = 0
+        for _ in range(n_per):
+            per_code = 2 * per_code + _below(getrandbits, 2)
+        return _coded_word(n_pre, pre_code, n_per, per_code)
 
     return mk_indexed_family("cantor", relates, refine, draw, index_max=5)
 
@@ -567,22 +631,16 @@ def normed_q(dim: int) -> NeighborhoodOracle:
         raise ValueError("dimension must be positive")
     draw_q = _q_draw(24, 8) if dim == 1 else _q_draw(8, 4)
 
-    def relates(n, x, y):
-        # n * |x_i - y_i| < 1 on every coordinate
-        for num, d in map(_q_distance, x, y):
-            if num * n >= d:
-                return False
-        return True
-
     def refine(n, x, y):
         if x == y:
             return n
         return _norm_index(*_max_distance(x, y))
 
     def draw(rng):
-        return tuple([draw_q(rng) for _ in range(dim)])
+        return tuple(map(draw_q, repeat(rng, dim)))
 
-    return mk_indexed_family(f"normed-q:{dim}", relates, refine, draw)
+    # the n-fold sum of x - y is in the unit ball iff n * |x_i - y_i| < 1
+    return mk_indexed_family(f"normed-q:{dim}", _in_max_ball, refine, draw)
 
 
 def check_normed_conditions(

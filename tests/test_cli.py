@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -555,6 +556,34 @@ def test_sample_prints_seed_and_count(capsys):
     out = capsys.readouterr().out
     assert "seed: 42" in out
     assert "no violations in 400 samples" in out
+
+
+@pytest.mark.parametrize(
+    "p, code, err",
+    [
+        (2**61 - 1, 0, ""),
+        (
+            (10**9 + 7) * (10**9 + 9),
+            2,
+            "error: bad instance 'padic:1000000016000000063': 1000000016000000063 is not prime\n",
+        ),
+    ],
+)
+def test_sample_decides_large_moduli_quickly(p, code, err, capsys):
+    start = time.perf_counter()
+    assert main(["sample", f"padic:{p}", "--samples", "100", "--json"]) == code
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.err == err
+    assert code or json.loads(captured.out)["passed"] is True
+
+
+def test_sample_names_the_primality_bound(capsys):
+    p = 318_665_857_834_031_151_167_461
+    assert main(["sample", f"padic:{p}"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: bad instance 'padic:{p}': primality is only decided below {p}\n"
+    )
 
 
 def test_sample_witness_out_on_failure(tmp_path, capsys, monkeypatch):

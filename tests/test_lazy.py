@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -29,10 +30,14 @@ from fibrous import (
 from fibrous.lazy import (
     INSTANCE_NAMES,
     MODULUS_NAMES,
+    _PRIME_BOUND,
     _ball_index,
     _below,
+    _coded_word,
+    _in_max_ball,
+    _is_prime,
+    _max_distance,
     _min_shrink,
-    _word,
     check_normed_conditions,
     norm_step_index,
 )
@@ -114,6 +119,27 @@ def test_padic_requires_prime():
         mk_padic(1)
 
 
+def _is_prime_by_trial_division(p):
+    return p >= 2 and all(p % i for i in range(2, math.isqrt(p) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    for p in range(-3, 10**5):
+        assert _is_prime(p) == _is_prime_by_trial_division(p), p
+
+
+def test_is_prime_decides_large_numbers_up_to_its_bound():
+    assert _is_prime(2**61 - 1)
+    assert not _is_prime((10**9 + 7) * (10**9 + 9))
+    assert not _is_prime(3215031751)  # strong pseudoprime to the bases 2, 3, 5 and 7
+    # the bound itself is the first composite that all twelve bases pass
+    assert 399165290221 * 798330580441 == _PRIME_BOUND
+    assert _is_prime(2**64 - 59)  # the largest prime below 2**64
+    for p in (_PRIME_BOUND, _PRIME_BOUND + 1, 2**89 - 1):
+        with pytest.raises(ValueError, match=str(_PRIME_BOUND)):
+            _is_prime(p)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(2, 3).map(lambda i: (2, 3, 5)[i - 2]),
@@ -141,18 +167,20 @@ def test_cantor_examples():
     assert o.delta((2, u), w) == (2, w)
 
 
-def _letter_tuples(lengths):
-    return [t for k in lengths for t in product((0, 2), repeat=k)]
+def _letter_codes(lengths):
+    # (length, code, letters): the code's bits are the letters, first letter
+    # in the highest bit and 1 for the letter 2, as in product's order
+    return [(k, code, t) for k in lengths for code, t in enumerate(product((0, 2), repeat=k))]
 
 
 def test_word_table_builds_what_word_builds():
-    # every (preperiod, period) pair the cantor sampler can draw
-    keys = list(product(_letter_tuples(range(5)), _letter_tuples(range(1, 5))))
+    # every (preperiod, period) code the cantor sampler can draw
+    keys = list(product(_letter_codes(range(5)), _letter_codes(range(1, 5))))
     assert len(keys) == 930
-    for pre, per in keys:
-        w, ref = _word(pre, per), Word(pre, per)
+    for (n_pre, pre_code, pre), (n_per, per_code, per) in keys:
+        w, ref = _coded_word(n_pre, pre_code, n_per, per_code), Word(pre, per)
         assert w == ref and repr(w) == repr(ref), (pre, per)
-        assert _word(pre, per) is w
+        assert _coded_word(n_pre, pre_code, n_per, per_code) is w
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -160,7 +188,7 @@ def test_word_table_leaves_cantor_checks_unchanged(seed):
     runs = []
     for cold in (True, False):
         if cold:
-            _word.cache_clear()
+            _coded_word.cache_clear()
         counts = Counter()
         rep = sample_check(_counting(mk_cantor(), counts), 2000, seed)
         runs.append((rep.to_json(), counts))
@@ -168,9 +196,52 @@ def test_word_table_leaves_cantor_checks_unchanged(seed):
 
 
 def test_word_table_stays_bounded():
-    _word.cache_clear()
+    _coded_word.cache_clear()
     assert sample_check(mk_cantor(), 10_000, 0).passed
-    assert 0 < _word.cache_info().currsize <= 930
+    assert 0 < _coded_word.cache_info().currsize <= 930
+
+
+# the indices the letter-mask tests try, across the mask's 64 letters
+MASK_INDICES = range(71)
+
+
+def _assert_cantor_rel_is_prefix_agreement(pairs):
+    o = mk_cantor()
+    for u, w in pairs:
+        for n in MASK_INDICES:
+            assert o.rel((n, u), w) == (u.prefix(n) == w.prefix(n)), (n, u, w)
+
+
+def test_letter_mask_decides_drawn_words():
+    o = mk_cantor()
+    elems, points = o.element_sampler(8), o.point_sampler(9)
+    pairs = [(next(elems)[1], next(points)) for _ in range(300)]
+    pairs += [(u, u) for u, _ in pairs[:20]]
+    pairs += [(u, Word(u.pre, u.per)) for u, _ in pairs[:20]]  # equal but distinct
+    _assert_cantor_rel_is_prefix_agreement(pairs)
+
+
+def test_letter_mask_decides_long_preperiods():
+    rng = Random(10)
+    words = []
+    for _ in range(40):
+        pre = tuple(rng.choice((0, 2)) for _ in range(rng.randint(60, 80)))
+        words.append(Word(pre, tuple(rng.choice((0, 2)) for _ in range(rng.randint(1, 4)))))
+    # words that first differ at each letter from 60 to 69
+    base = Word((0,) * 64 + (2,) * 8, (0, 2))
+    for i in range(60, 70):
+        letters = base.prefix(72)
+        words.append(Word(letters[:i] + (2 - letters[i],) + letters[i + 1:], base.per))
+    words.append(base)
+    _assert_cantor_rel_is_prefix_agreement(product(words, repeat=2))
+
+
+def test_letter_mask_is_not_a_field():
+    assert [f.name for f in dataclasses.fields(Word)] == ["pre", "per"]
+    w, twin = Word((0, 2), (2,)), Word((0, 2), (2,))
+    assert w.head == twin.head == (1 << 64) - 2  # letters 0, 2, 2, 2, ...
+    object.__setattr__(twin, "head", 0)
+    assert w == twin and hash(w) == hash(twin) and repr(w) == repr(twin)
 
 
 @settings(max_examples=150, deadline=None)
@@ -598,6 +669,9 @@ KERNEL_REFERENCES = {
     "metric-q2": (
         ref_metric(lambda x, y: max(abs(x[0] - y[0]), abs(x[1] - y[1]))),
         [(_q(0, 0), _q(F(1, n), F(-1, n))) for n in range(1, MAX_INDEX + 1)]
+        # one coordinate exactly 1/n away, the other inside
+        + [(_q(0, 0), _q(F(1, 2 * n), F(-1, n))) for n in range(1, MAX_INDEX + 1)]
+        + [(_q(F(1, n), 1), _q(0, 1 + F(1, 3 * n))) for n in range(1, MAX_INDEX + 1)]
         + [(_q(0, 0), _q(0, F(1, 5))), (_q(F(1, 3), 2), _q(F(1, 3), 2))],
     ),
     "normed-q:1": (
@@ -607,6 +681,7 @@ KERNEL_REFERENCES = {
     "normed-q:2": (
         ref_normed(),
         [(_q(0, 0), _q(F(-1, n), F(1, 2 * n))) for n in range(1, MAX_INDEX + 1)]
+        + [(_q(F(1, 3), 0), _q(0, F(-1, n))) for n in range(1, MAX_INDEX + 1)]
         + [(_q(1, 1), _q(1, 1))],
     ),
     "tangent-disk": (
@@ -650,6 +725,23 @@ def test_kernels_match_fraction_references(name):
                 related += 1
                 assert oracle.delta((n, x), y) == (ref_refine(n, x, y), y), (n, x, y)
     assert related >= 50  # the refinements were exercised too
+
+
+def test_max_ball_agrees_with_max_distance():
+    pairs = []
+    for name in ("metric-q2", "normed-q:1", "normed-q:2", "normed-q:3"):
+        oracle = named_instance(name)
+        elems, points = oracle.element_sampler(12), oracle.point_sampler(13)
+        pairs += [(next(elems)[1], next(points)) for _ in range(200)]
+    for name in ("metric-q2", "normed-q:1", "normed-q:2"):
+        pairs += KERNEL_REFERENCES[name][1]
+    boundary = 0
+    for x, y in pairs:
+        num, den = _max_distance(x, y)
+        for n in range(1, MAX_INDEX + 1):
+            assert _in_max_ball(n, x, y) == (num * n < den), (n, x, y)
+            boundary += num * n == den
+    assert boundary >= 100  # pairs exactly 1/n apart were among them
 
 
 def test_ball_index_matches_reference_and_ignores_scaling():
