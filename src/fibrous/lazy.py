@@ -274,19 +274,16 @@ def metric_q() -> NeighborhoodOracle:
 
 
 def metric_q2() -> NeighborhoodOracle:
-    """Rational pairs with radius-1/n balls of the max metric, which keeps
-    distances rational: the relation is :func:`_in_max_ball` and the
-    refinement index :func:`_ball_index`, as :func:`mk_metric` would build
-    them from ``_max_distance``."""
-    draw_q = _q_draw(8, 4)
+    """Rational pairs with radius-1/n balls of the max metric, the metric of
+    ``normed_q_group(2)``, whose relation and point draws it takes; the
+    refinement index is :func:`_ball_index`, as :func:`mk_metric` would
+    build it from ``_max_distance``."""
+    group = normed_q_group(2)
 
     def refine(n, x, y):
         return _ball_index(n, *_max_distance(x, y))
 
-    def draw(rng):
-        return (draw_q(rng), draw_q(rng))
-
-    return mk_indexed_family("metric-q2", _in_max_ball, refine, draw)
+    return mk_indexed_family("metric-q2", group.within, refine, group.draw_point)
 
 
 def broken_metric_q() -> NeighborhoodOracle:
@@ -585,18 +582,31 @@ def mk_tangent_disk(strict_paper: bool = False) -> NeighborhoodOracle:
 # ---------------------------------------------------------------------------
 # normed abelian groups
 
+# Largest normed-q dimension.  Every drawn point holds ``dim`` coordinates,
+# so a far larger one only exhausts memory before the first round finishes.
+MAX_DIM = 1 << 10
+
+
 @dataclass(frozen=True)
-class GroupDescription:
-    """Abelian group data: ``nsum(n, x)`` is the n-fold sum of ``x``."""
+class NormedGroup:
+    """Abelian group with a distinguished subset ``U`` and an index map ``h``.
+
+    ``within(n, x, y)`` says whether the n-fold sum of ``x - y`` lies in
+    ``U`` and ``step(x, y)`` is ``h(x - y)``; neither builds ``x - y``.
+    """
 
     zero: object
     add: Callable
-    nsum: Callable
+    within: Callable
+    step: Callable
     draw_point: Callable
 
 
 def _norm_index(num: int, den: int) -> int:
-    # norm_step_index of a vector whose max norm is num/den
+    """Index map of the max-norm unit ball at a vector of norm ``q = num/den``:
+    with ``1/(k+1) <= q < 1/k``, the least index whose reciprocal is below
+    ``1/k - q``, which is :func:`_ball_index` of ``k`` and ``q``.  Defined
+    for ``0 < q < 1``; 1 at zero, where the refinement never consults it."""
     if num == 0:
         return 1
     if num >= den:
@@ -607,63 +617,55 @@ def _norm_index(num: int, den: int) -> int:
     return _ball_index(k, num, den)
 
 
-def norm_step_index(v) -> int:
-    """Refinement index for the max-norm unit-ball instance.
+def normed_q_group(dim: int) -> NormedGroup:
+    """Rational vectors with the max norm; the subset is the open unit ball,
+    so ``within`` is :func:`_in_max_ball`.  ``dim`` is at most ``MAX_DIM``."""
+    if dim < 1:
+        raise ValueError("dimension must be positive")
+    if dim > MAX_DIM:
+        raise ValueError(f"dimension {dim} is above the limit of {MAX_DIM}")
+    draw_q = _q_draw(24, 8) if dim == 1 else _q_draw(8, 4)
+    return NormedGroup(
+        zero=(_ZERO,) * dim,
+        add=lambda x, y: tuple(map(operator.add, x, y)),
+        within=_in_max_ball,
+        step=lambda x, y: _norm_index(*_max_distance(x, y)),
+        draw_point=lambda rng: tuple(map(draw_q, repeat(rng, dim))),
+    )
 
-    With ``k`` the unique integer whose reciprocal steps bracket the norm
-    (``1/(k+1) <= |v| < 1/k``), returns the least index whose reciprocal is
-    strictly below ``1/k - |v|``, which is :func:`_ball_index` of ``k`` and
-    ``|v|``.  Defined for ``0 < |v| < 1``; returns 1 at zero by convention
-    (never consulted there by the refinement).
-    """
-    return _norm_index(*_max_distance(v, repeat(0)))
+
+def mk_normed_group(name: str, group: NormedGroup) -> NeighborhoodOracle:
+    """Oracle with ``rel((n, x), y)`` iff ``group.within(n, x, y)``; the
+    refinement keeps the index on the diagonal and is ``group.step(x, y)``
+    off it."""
+    step = group.step
+
+    def refine(n, x, y):
+        return n if x == y else step(x, y)
+
+    return mk_indexed_family(name, group.within, refine, group.draw_point)
 
 
 def normed_q(dim: int) -> NeighborhoodOracle:
-    """Rational vectors with the max norm; the distinguished subset is the
-    open unit ball.
-
-    ``rel((n, x), y)`` iff the n-fold sum of ``x - y`` lies in the subset;
-    the refinement uses the index map :func:`norm_step_index` on ``x - y``
-    away from the diagonal and keeps the index on it.
-    """
-    if dim < 1:
-        raise ValueError("dimension must be positive")
-    draw_q = _q_draw(24, 8) if dim == 1 else _q_draw(8, 4)
-
-    def refine(n, x, y):
-        if x == y:
-            return n
-        return _norm_index(*_max_distance(x, y))
-
-    def draw(rng):
-        return tuple(map(draw_q, repeat(rng, dim)))
-
-    # the n-fold sum of x - y is in the unit ball iff n * |x_i - y_i| < 1
-    return mk_indexed_family(f"normed-q:{dim}", _in_max_ball, refine, draw)
+    """The ``normed-q:<dim>`` oracle, built from :func:`normed_q_group`."""
+    return mk_normed_group(f"normed-q:{dim}", normed_q_group(dim))
 
 
 def check_normed_conditions(
-    group: GroupDescription,
-    member: Callable,
-    h: Callable,
-    n_samples: int = 2000,
-    seed: int = 0,
+    group: NormedGroup, n_samples: int = 2000, seed: int = 0
 ) -> AxiomReport:
-    """Sampled check of the three subset/index-map conditions.
+    """Sampled check of the three subset/index-map conditions of ``group``.
 
     NG1: zero belongs to the subset.  NG2: membership of an (n*n2)-fold sum
     implies membership of both partial sums.  NG3: for nonzero ``a``, if the
     n-fold sum of ``a`` and the h(a)-fold sum of ``a2`` are members, so is
     the n-fold sum of ``a + a2``.  (At zero NG3 is vacuous: the refinement
-    never consults ``h`` there.)
-
-    The conditions are checked on the caller's ``group``, ``member`` and
-    ``h``.  The shipped :func:`normed_q` oracle is not built from a
-    :class:`GroupDescription`, so a pass here says nothing about it.
+    never consults ``h`` there.)  NG1-NG3 are F2, F6 and F3 of
+    ``mk_normed_group(name, group)`` at ``a = x - y`` and ``a2 = y - z``.
     """
     col = Collector()
-    if not member(group.zero):
+    zero, within = group.zero, group.within
+    if not within(1, zero, zero):
         col.add("NG1", {"seed": seed})
     rng = Random(seed)
     getrandbits = rng.getrandbits
@@ -676,15 +678,13 @@ def check_normed_conditions(
         a2 = group.draw_point(rng)
         n = 1 + _below(getrandbits, 4)
         n2 = 1 + _below(getrandbits, 4)
-        if member(group.nsum(n * n2, a)) and not (
-            member(group.nsum(n, a)) and member(group.nsum(n2, a))
-        ):
+        if within(n * n2, a, zero) and not (within(n, a, zero) and within(n2, a, zero)):
             col.add("NG2", wit())
         if (
-            a != group.zero
-            and member(group.nsum(n, a))
-            and member(group.nsum(h(a), a2))
-            and not member(group.nsum(n, group.add(a, a2)))
+            a != zero
+            and within(n, a, zero)
+            and within(group.step(a, zero), a2, zero)
+            and not within(n, group.add(a, a2), zero)
         ):
             col.add("NG3", wit())
     return col.report()
@@ -782,8 +782,12 @@ def named_instance(name: str) -> NeighborhoodOracle:
             if name == key:
                 return make()
         elif name.startswith(prefix):
+            suffix = name[len(prefix):]
             try:
-                return make(int(name[len(prefix):]))
+                # only canonical ASCII decimals, so that the name is the oracle's
+                if not (suffix.isascii() and suffix.isdigit()) or suffix != str(int(suffix)):
+                    raise ValueError("the suffix must be a decimal without sign or leading zeros")
+                return make(int(suffix))
             except ValueError as exc:
                 raise ValueError(f"bad instance {name!r}: {exc}") from None
     raise ValueError(f"unknown instance {name!r}")

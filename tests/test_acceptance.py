@@ -9,6 +9,7 @@ or is a regression constant agreed by two generators.
 import random
 import time
 from collections import defaultdict
+from dataclasses import replace
 from itertools import product
 
 from fibrous import (
@@ -36,6 +37,7 @@ from fibrous import (
 )
 from fibrous.bitsets import bits
 from fibrous.functors import NotContinuousError
+from fibrous.lazy import check_normed_conditions, mk_normed_group, normed_q_group
 from fibrous.topology import (
     TOPOLOGY_COUNTS,
     enumerate_topologies_brute,
@@ -59,6 +61,7 @@ LAZY_INSTANCES = (
     "indexed-metric",
     "natural-metric",
 )
+NORMED_DIMS = (1, 2, 3)
 
 
 def _all_topologies():
@@ -205,11 +208,16 @@ def test_criterion_5_lazy_axiom_suite():
         for seed in SEEDS:
             rep = sample_check(named_instance(name), SAMPLES, seed)
             assert rep.passed, f"{name} seed {seed}: {rep.to_json()}"
+    # NG1-NG3 on the very groups that the normed-q:<d> oracles are built from
+    for dim in NORMED_DIMS:
+        for seed in SEEDS:
+            rep = check_normed_conditions(normed_q_group(dim), SAMPLES, seed)
+            assert rep.passed, f"normed_q_group({dim}) seed {seed}: {rep.to_json()}"
     elapsed = time.time() - start
     assert elapsed < 60.0
     print(
-        f"\nACCEPTANCE C5 PASS: {len(LAZY_INSTANCES)} instances x {len(SEEDS)} seeds x"
-        f" {SAMPLES} samples, zero violations, {elapsed:.1f}s"
+        f"\nACCEPTANCE C5 PASS: {len(LAZY_INSTANCES)} instances and {len(NORMED_DIMS)} normed"
+        f" groups x {len(SEEDS)} seeds x {SAMPLES} samples, zero violations, {elapsed:.1f}s"
     )
 
 
@@ -228,6 +236,18 @@ def test_criterion_6_mutation_sensitivity():
                 caught.append(seed)
         assert len(caught) >= 2, f"{label} mutant caught only on {caught}"
         results[label] = caught
+    # a wrong index map on a normed group, caught by the group check and by
+    # the oracle built from the group, on every seed
+    bad = replace(normed_q_group(1), step=lambda x, y: 1)
+    for tag, run in (
+        ("NG3", lambda seed: check_normed_conditions(bad, SAMPLES, seed)),
+        ("F3", lambda seed: sample_check(mk_normed_group("bad-h", bad), SAMPLES, seed)),
+    ):
+        for seed in SEEDS:
+            first = run(seed).violations[0]
+            assert first[0] == tag and first[1]["seed"] == seed
+            assert run(seed).violations[0] == first
+        results[f"normed-h {tag}"] = list(SEEDS)
     print(f"\nACCEPTANCE C6 PASS: mutants caught with replayable witnesses {results}")
 
 

@@ -586,6 +586,21 @@ def test_sample_names_the_primality_bound(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "name, reason",
+    [
+        ("normed-q:1025", "dimension 1025 is above the limit of 1024"),
+        ("normed-q:1_0", "the suffix must be a decimal without sign or leading zeros"),
+    ],
+)
+def test_sample_refuses_bad_instance_parameters(name, reason, capsys):
+    # refused before anything is drawn, with the usage exit code
+    assert main(["sample", name, "--samples", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad instance {name!r}: {reason}\n"
+
+
 def test_sample_witness_out_on_failure(tmp_path, capsys, monkeypatch):
     import fibrous.cli as cli
 

@@ -29,6 +29,7 @@ from fibrous import (
 )
 from fibrous.lazy import (
     INSTANCE_NAMES,
+    MAX_DIM,
     MODULUS_NAMES,
     _PRIME_BOUND,
     _ball_index,
@@ -39,7 +40,7 @@ from fibrous.lazy import (
     _max_distance,
     _min_shrink,
     check_normed_conditions,
-    norm_step_index,
+    normed_q_group,
 )
 from test_words import first_letters
 
@@ -309,11 +310,17 @@ def test_tangent_disk_delta_shrinks_exactly():
 
 # -- normed vectors ----------------------------------------------------------
 
+def norm_step(v):
+    # the index map h of normed-q at v, that is step(v, zero) of its group
+    group = normed_q_group(len(v))
+    return group.step(v, group.zero)
+
+
 def test_normed_examples():
     o = normed_q(1)
     assert o.rel((2, (F(0),)), (F(1, 3),))
     assert not o.rel((2, (F(0),)), (F(1, 2),))
-    assert norm_step_index((F(1, 2),)) == 3
+    assert norm_step((F(1, 2),)) == 3
     assert o.delta((2, (F(0),)), (F(1, 2),)) == (3, (F(1, 2),))
     assert o.delta((2, (F(1, 3),)), (F(1, 3),)) == (2, (F(1, 3),))
 
@@ -324,17 +331,36 @@ def test_norm_step_index_clears_its_gap(q):
     q = abs(q)
     if q == 0 or q >= 1:
         return
-    h = norm_step_index((q,))
+    h = norm_step((q,))
     k = int(1 / q) if 1 / q != int(1 / q) else int(1 / q) - 1
     assert F(1, k + 1) <= q < F(1, k)
     assert F(1, h) < F(1, k) - q
 
 
 def test_normed_conditions_hold_for_the_shipped_instance():
-    rep = check_normed_conditions(
-        _normed_q1_group(), lambda v: abs(v[0]) < 1, norm_step_index, n_samples=3000, seed=0
-    )
+    rep = check_normed_conditions(normed_q_group(1), n_samples=3000, seed=0)
     assert rep.passed
+
+
+def test_normed_q_and_metric_q2_take_their_group():
+    for dim in (1, 2, 3):
+        group, oracle = normed_q_group(dim), normed_q(dim)
+        rng, points = Random(5), list(islice(oracle.point_sampler(5), 100))
+        assert points == [group.draw_point(rng) for _ in points]
+        for x, y in zip(points, points[1:]):
+            for n in range(1, 5):
+                assert oracle.rel((n, x), y) == group.within(n, x, y)
+                if x != y and group.within(n, x, y):
+                    assert oracle.delta((n, x), y) == (group.step(x, y), y)
+    ours, theirs = named_instance("metric-q2").point_sampler(0), normed_q(2).point_sampler(0)
+    assert list(islice(ours, 200)) == list(islice(theirs, 200))
+
+
+def test_normed_dimension_is_bounded():
+    assert len(normed_q_group(MAX_DIM).zero) == MAX_DIM
+    for dim in (0, MAX_DIM + 1):
+        with pytest.raises(ValueError):
+            normed_q_group(dim)
 
 
 # -- recaptured constructions ------------------------------------------------
@@ -475,18 +501,13 @@ def test_named_instance_errors():
         named_instance("padic:6")
     with pytest.raises(ValueError):
         named_instance("normed-q:0")
-
-
-def _normed_q1_group():
-    from fibrous.lazy import GroupDescription, _q_draw
-
-    draw_q = _q_draw(24, 8)
-    return GroupDescription(
-        zero=(F(0),),
-        add=lambda x, y: (x[0] + y[0],),
-        nsum=lambda n, x: (n * x[0],),
-        draw_point=lambda rng: (draw_q(rng),),
-    )
+    # a suffix is a canonical ASCII decimal, so the name echoed is the oracle's
+    for name in ("padic: 3", "padic:+3", "padic:-3", "padic:03", "padic:\u0663", "padic:",
+                 "normed-q:1_0", "normed-q:2 ", "normed-q:0x2", "normed-q:" + "1" * 5000):
+        with pytest.raises(ValueError, match="bad instance"):
+            named_instance(name)
+    for name in ("padic:3", "normed-q:10", "normed-q:1"):
+        assert named_instance(name).name == name
 
 
 # Exact reports at seed 0, which pin that Fractions serialize as "p/q" and
@@ -511,7 +532,7 @@ GOLDEN_WITNESSES = {
         141,
     ),
     "normed-wrong-h": (
-        lambda: check_normed_conditions(_normed_q1_group(), lambda v: abs(v[0]) < 1, lambda v: 1),
+        lambda: check_normed_conditions(replace(normed_q_group(1), step=lambda x, y: 1)),
         {"axiom": "NG3", "witness": {"seed": 0, "round": 141, "a": ["-1/2"], "a2": ["-4/5"],
                                      "n": 1, "n2": 1}},
         None,
@@ -783,7 +804,7 @@ def test_norm_step_index_matches_reference():
         dim = rng.randint(1, 3)
         vectors.append(tuple(F(rng.randint(-30, 30), rng.randint(31, 60)) for _ in range(dim)))
     for v in vectors:
-        assert norm_step_index(v) == ref_norm_step_index(v), v
+        assert norm_step(v) == ref_norm_step_index(v), v
 
 
 # -- the draw kernel and the shipped samplers against the standard library ---
