@@ -61,7 +61,8 @@ EXIT_USAGE = 2
 
 
 def _count(text: str) -> int:
-    """Argument type for counts of samples, instances and points."""
+    """Argument type for counts of samples, instances and points, and for
+    seeds."""
     try:
         value = int(text)
     except ValueError:
@@ -158,7 +159,8 @@ def _cmd_from_top(args) -> int:
     try:
         gi = functor_G_obj(T)
     except ValueError:
-        # functor_G_obj validates T; the report is built only when it fails
+        # functor_G_obj validates T; the report is built only when it fails,
+        # and a valid T re-raises (its G-image is above MAX_G_TABLE)
         rep = validate_topology(T, verbose=args.verbose)
         if rep.passed:
             raise
@@ -345,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--mode", choices=("fg", "gf"), required=True)
     s.add_argument("--all-n", type=_count, help="fg: run on every topology with this many points")
     s.add_argument("--random", type=_count, help="gf: run on this many seeded random instances")
-    s.add_argument("--seed", type=int)
+    s.add_argument("--seed", type=_count)
     s.set_defaults(handler=_cmd_roundtrip)
 
     s = sub.add_parser("enum-top", parents=[common], help="enumerate all topologies on n points")
@@ -355,14 +357,14 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sample", parents=[common], help="sampled axiom check of a lazy instance")
     s.add_argument("instance", help="one of: " + ", ".join(INSTANCE_NAMES))
     s.add_argument("--samples", type=_count, default=10000)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_count, default=0)
     s.add_argument("--witness-out", help="write a {seed, witness} replay file on failure")
     s.set_defaults(handler=_cmd_sample)
 
     s = sub.add_parser("modulus-check", parents=[common], help="sampled check of a continuity modulus")
     s.add_argument("name", help="one of: " + ", ".join(MODULUS_NAMES))
     s.add_argument("--samples", type=_count, default=10000)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_count, default=0)
     s.set_defaults(handler=_cmd_modulus_check)
 
     return parser

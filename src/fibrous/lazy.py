@@ -8,6 +8,7 @@ at 1 so that the unit element exists and meets can multiply indices.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import operator
 from dataclasses import dataclass, replace
@@ -72,8 +73,11 @@ def sample_check(
     ``delta`` puts over another point is an F4 or F1 defect and is skipped).
     Violations carry the seed and round number, so any failure replays
     deterministically.  A passing report means no violation in
-    ``n_samples`` rounds, not a proof.
+    ``n_samples`` rounds, not a proof.  ``seed`` must be non-negative:
+    ``Random`` seeds by absolute value, so ``-s`` would replay ``s``.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     col = Collector(verbose)
     proj, rel, delta = oracle.proj, oracle.rel, oracle.delta
     unit, meet = oracle.unit, oracle.meet
@@ -132,7 +136,6 @@ def mk_indexed_family(
     draw_point: Callable,
     op: Callable = operator.mul,
     index_max: int = 4,
-    draw_element_point: Callable | None = None,
 ) -> NeighborhoodOracle:
     """Oracle from an indexed family of relations ``relates(n, x, y)``.
 
@@ -141,10 +144,9 @@ def mk_indexed_family(
     indices with ``op``.  The refinement is ``(refine(n, x, y), y)``; a
     ``refine`` that is only defined on related pairs raises ``ValueError``
     on the others itself.  The element sampler draws indices uniformly from
-    ``1..index_max`` and points from ``draw_element_point`` (by default
-    ``draw_point``, which also feeds the point sampler).
+    ``1..index_max`` and points from ``draw_point``, which also feeds the
+    point sampler.
     """
-    elem_point = draw_element_point or draw_point
 
     def rel(a, y):
         return relates(a[0], a[1], y)
@@ -167,7 +169,7 @@ def mk_indexed_family(
         rng = Random(seed)
         getrandbits = rng.getrandbits
         while True:
-            yield (1 + _below(getrandbits, index_max), elem_point(rng))
+            yield (1 + _below(getrandbits, index_max), draw_point(rng))
 
     return NeighborhoodOracle(
         name=name,
@@ -486,13 +488,7 @@ def _min_shrink(n: int, D: tuple[int, int], scale: int) -> int:
     hi = lo
     while not fits(hi):
         hi *= 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if fits(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return lo + bisect.bisect_left(range(lo, hi + 1), True, key=fits)
 
 
 _ZERO = Fraction(0)
@@ -504,12 +500,10 @@ def mk_tangent_disk(strict_paper: bool = False) -> NeighborhoodOracle:
     Interior points get open Euclidean balls (membership decided on squared
     distances).  Boundary points get, by default, the ball of radius 1/n
     tangent to the axis plus the point itself; with ``strict_paper`` they
-    get the plain half-disk instead.  In strict mode the element sampler
-    stays on interior points; boundary points still appear as query points.
-    The relation and the refinement read coordinates through
-    ``as_integer_ratio()``, so Fractions and ints both work.  The samplers
-    draw coordinates from tables built once, so equal draws may share one
-    Fraction.
+    get the plain half-disk instead.  The relation and the refinement read
+    coordinates through ``as_integer_ratio()``, so Fractions and ints both
+    work.  The samplers draw coordinates from tables built once, so equal
+    draws may share one Fraction.
     """
 
     def check_point(w):
@@ -548,11 +542,8 @@ def mk_tangent_disk(strict_paper: bool = False) -> NeighborhoodOracle:
             raise ValueError("delta is only defined on related pairs")
         if w == c:
             return n
-        interior, w_interior = c[1].numerator > 0, w[1].numerator > 0
-        if strict_paper and not interior and not w_interior:
-            return _ball_index(n, *_q_distance(w[0], c[0]))
-        # otherwise w lies strictly inside the ball whose center dist2 measures
-        scale = 2 if interior and not w_interior else 1
+        # w lies strictly inside the ball whose center dist2 measures
+        scale = 2 if c[1].numerator > 0 and w[1].numerator == 0 else 1
         return _min_shrink(n, d, scale)
 
     draw_x = _q_draw(6, 4)
@@ -562,19 +553,8 @@ def mk_tangent_disk(strict_paper: bool = False) -> NeighborhoodOracle:
         x = draw_x(rng)
         return (x, _ZERO if rng.random() < 0.3 else draw_y(rng))
 
-    def draw_interior(rng):
-        while True:
-            pt = draw(rng)
-            if pt[1].numerator > 0:
-                return pt
-
-    oracle = mk_indexed_family(
-        "tangent-disk:strict-paper" if strict_paper else "tangent-disk",
-        relates,
-        refine,
-        draw,
-        draw_element_point=draw_interior if strict_paper else None,
-    )
+    name = "tangent-disk:strict-paper" if strict_paper else "tangent-disk"
+    oracle = mk_indexed_family(name, relates, refine, draw)
     # the section, like the relation, rejects points below the axis
     return replace(oracle, unit=lambda w: (1, check_point(w)))
 
@@ -611,10 +591,7 @@ def _norm_index(num: int, den: int) -> int:
         return 1
     if num >= den:
         raise ValueError("index map is only defined inside the unit ball")
-    k = den // num
-    if den % num == 0:
-        k -= 1
-    return _ball_index(k, num, den)
+    return _ball_index((den - 1) // num, num, den)
 
 
 def normed_q_group(dim: int) -> NormedGroup:
@@ -663,6 +640,8 @@ def check_normed_conditions(
     never consults ``h`` there.)  NG1-NG3 are F2, F6 and F3 of
     ``mk_normed_group(name, group)`` at ``a = x - y`` and ``a2 = y - z``.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     col = Collector()
     zero, within = group.zero, group.within
     if not within(1, zero, zero):
@@ -720,6 +699,8 @@ def check_modulus(
     sampled ``z`` in the lifted neighborhood whose image escapes the target
     neighborhood -- the witness records that ``z``.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     col = Collector(verbose)
     elems = mor.target.element_sampler(2 * seed)
     points = mor.source.point_sampler(2 * seed + 1)

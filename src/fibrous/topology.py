@@ -22,6 +22,10 @@ from .report import AxiomReport, Collector, FormatError
 # count of reflexive transitive relations.
 TOPOLOGY_COUNTS = (1, 1, 4, 29, 355, 6942, 209527)
 
+# Largest union closure built.  Each new mask can double the closure, so a
+# carrier of 26 singleton neighborhoods would build toward 2**26 open sets.
+MAX_OPENS = 1 << 16
+
 
 @dataclass(frozen=True)
 class FiniteTopology:
@@ -85,10 +89,13 @@ def specialization(
 
 
 def union_closure(masks) -> tuple[int, ...]:
-    """All unions of subfamilies of ``masks`` (the empty union included)."""
+    """All unions of subfamilies of ``masks`` (the empty union included);
+    raises ``ValueError`` once there are more than ``MAX_OPENS``."""
     closed = {0}
     for m in set(masks):
         closed |= {c | m for c in closed}
+        if len(closed) > MAX_OPENS:
+            raise ValueError(f"the union closure has more than MAX_OPENS = {MAX_OPENS} open sets")
     return tuple(sorted(closed))
 
 

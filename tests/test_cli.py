@@ -440,10 +440,16 @@ def test_pinned_rejection_of_second_morphism(doc, message, tmp_path, capsys):
         (["roundtrip", "--mode", "fg", "--all-n", "2", "--seed", "5"], "error: --seed applies to gf mode only"),
         (["enum-top", "-1"], "argument n: expected a non-negative integer, got '-1'"),
         (["roundtrip", "--mode", "fg", "--all-n", "-1"], "argument --all-n: expected a non-negative integer, got '-1'"),
+        (["sample", "metric-q", "--seed", "-1"], "argument --seed: expected a non-negative integer, got '-1'"),
+        (["modulus-check", "q-double", "--seed", "-2"], "argument --seed: expected a non-negative integer, got '-2'"),
+        (["roundtrip", "--mode", "gf", "--random", "7", "--seed", "-3"],
+         "argument --seed: expected a non-negative integer, got '-3'"),
+        (["sample", "metric-q", "--samples", "abc"], "argument --samples: expected a non-negative integer, got 'abc'"),
     ],
     ids=[
         "argv0", "argv1", "argv2", "gf-file-and-random", "gf-all-n", "fg-file-and-all-n", "fg-random",
-        "gf-algorithm", "fg-seed", "enum-top-negative", "fg-all-n-negative",
+        "gf-algorithm", "fg-seed", "enum-top-negative", "fg-all-n-negative", "sample-seed-negative",
+        "modulus-seed-negative", "gf-seed-negative", "samples-not-integer",
     ],
 )
 def test_negative_counts_exit_two(argv, message, sierpinski_top, sierpinski_g, capsys):
@@ -462,6 +468,38 @@ def test_negative_counts_exit_two(argv, message, sierpinski_top, sierpinski_g, c
 def test_enumeration_limit_exits_two(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr() == ("", "error: enumeration supports at most 6 points\n")
+
+
+# valid inputs whose conversions would exhaust memory: the G-image of the
+# 3,000-point indiscrete topology has 9M refinement entries, that of the
+# 10-point discrete topology 2.6M meet entries, and the union closure of 26
+# singleton neighborhoods has 2**26 open sets
+INDISCRETE_3000 = {"nB": 3000, "opens": [[], list(range(3000))]}
+DISCRETE_10 = {"nB": 10, "opens": [[x for x in range(10) if u >> x & 1] for u in range(1 << 10)]}
+SINGLETONS_26 = {
+    "nB": 26, "nA": 26, "p": list(range(26)), "R": [[x] for x in range(26)],
+    "d": [[x, x, x] for x in range(26)], "s": list(range(26)), "m": [[x, x, x] for x in range(26)],
+}
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("from-top", INDISCRETE_3000,
+         "the G-image's refinement table would have up to 9000000 entries, above MAX_G_TABLE = 1048576"),
+        ("roundtrip --mode fg", INDISCRETE_3000,
+         "the G-image's refinement table would have up to 9000000 entries, above MAX_G_TABLE = 1048576"),
+        ("from-top", DISCRETE_10,
+         "the G-image's meet table would have 2621440 entries, above MAX_G_TABLE = 1048576"),
+        ("to-top", SINGLETONS_26, "the union closure has more than MAX_OPENS = 65536 open sets"),
+        ("roundtrip --mode gf", SINGLETONS_26, "the union closure has more than MAX_OPENS = 65536 open sets"),
+    ],
+    ids=["from-top-refinements", "fg-refinements", "from-top-meets", "to-top", "gf"],
+)
+def test_size_limits_exit_two(command, doc, message, tmp_path, capsys):
+    path = write(tmp_path, "in.json", doc)
+    assert main([*command.split(), path, "--json"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

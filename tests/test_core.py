@@ -180,6 +180,8 @@ def test_find_equivalence_absent_for_discrete_vs_indiscrete():
 def test_find_equivalence_base_mismatch():
     with pytest.raises(ValueError):
         find_equivalence(ONE_POINT, ORDER01)
+    with pytest.raises(ValueError, match=r"^base sizes differ \(1 vs 2\)$"):
+        verify_equivalence(ONE_POINT, ORDER01, EquivalenceWitness((0,), (0, 0)))
 
 
 @pytest.mark.parametrize("phi, gamma, message", [

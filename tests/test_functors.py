@@ -72,6 +72,31 @@ def _g_witness_by_definition(gi, index):
     return SpatialWitness(s, m)
 
 
+def discrete(n):
+    return FiniteTopology(n, tuple(range(1 << n)))
+
+
+def test_g_image_tables_are_bounded(monkeypatch):
+    # the 7-point discrete topology: 448 elements over 7 points, 28,672 meets
+    T = discrete(7)
+    monkeypatch.setattr(functors, "MAX_G_TABLE", 448 * 7)
+    assert functor_G_obj(T).X.nA == 448
+    monkeypatch.setattr(functors, "MAX_G_TABLE", 448 * 7 - 1)
+    with pytest.raises(ValueError) as exc:
+        functor_G_obj(T)
+    assert str(exc.value) == (
+        "the G-image's refinement table would have up to 3136 entries, above MAX_G_TABLE = 3135"
+    )
+    monkeypatch.setattr(functors, "MAX_G_TABLE", 28_672)
+    assert len(functor_G_obj(T).w.m) == 28_672
+    monkeypatch.setattr(functors, "MAX_G_TABLE", 28_671)
+    with pytest.raises(ValueError) as exc:
+        functor_G_obj(T).w
+    assert str(exc.value) == (
+        "the G-image's meet table would have 28672 entries, above MAX_G_TABLE = 28671"
+    )
+
+
 def test_g_images_pass_axioms_on_all_small_topologies():
     for n in range(5):
         for T in enumerate_topologies(n):
@@ -327,6 +352,11 @@ def test_random_generator_is_deterministic_and_bounded():
 # one sha256 over the JSON of seeds 0-999 at three sizes: any change to the
 # generator's draws, or to the order of its rng calls, changes it
 RANDOM_DRAWS_SHA256 = "b92e8cbf22d237a7672d47690122dbbdf10c7a570a42f6360d6eb934a70ccf4c"
+
+
+def test_random_generator_refuses_negative_seeds():
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -3$"):
+        random_spatial_preorder(-3)
 
 
 def test_random_generator_draws_are_pinned():

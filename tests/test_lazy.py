@@ -285,6 +285,23 @@ def test_tangent_disk_strict_mode_differs_only_at_the_axis():
         assert std.rel((2, interior), target) == strict.rel((2, interior), target)
 
 
+@pytest.mark.parametrize(
+    "oracle, a, y",
+    [
+        (mk_cantor(), (1, Word((), (0,))), Word((), (2,))),
+        (mk_tangent_disk(), (2, (F(0), F(1))), (F(5), F(1))),
+        (mk_tangent_disk(), (1, (F(0), F(0))), (F(1, 2), F(0))),
+        (mk_tangent_disk(strict_paper=True), (2, (F(0), F(0))), (F(1, 2), F(0))),
+    ],
+    ids=["cantor", "tangent-interior", "tangent-axis", "strict-axis"],
+)
+def test_delta_refuses_unrelated_pairs(oracle, a, y):
+    assert not oracle.rel(a, y)
+    with pytest.raises(ValueError) as exc:
+        oracle.delta(a, y)
+    assert str(exc.value) == "delta is only defined on related pairs"
+
+
 def test_tangent_disk_rejects_lower_half_plane():
     below = (F(0), F(-1, 2))
     for o in (mk_tangent_disk(), mk_tangent_disk(strict_paper=True)):
@@ -340,6 +357,43 @@ def test_norm_step_index_clears_its_gap(q):
 def test_normed_conditions_hold_for_the_shipped_instance():
     rep = check_normed_conditions(normed_q_group(1), n_samples=3000, seed=0)
     assert rep.passed
+
+
+def test_norm_step_is_only_defined_inside_the_unit_ball():
+    for v in ((F(1),), (F(-3, 2),), (F(0), F(1))):
+        with pytest.raises(ValueError) as exc:
+            norm_step(v)
+        assert str(exc.value) == "index map is only defined inside the unit ball"
+
+
+@pytest.mark.parametrize(
+    "within, caught, passed",
+    [
+        # the subset misses zero
+        (lambda n, x, y: x != y and _in_max_ball(n, x, y), "NG1", "NG2"),
+        # every index above 4 admits every vector, so an (n*n2)-fold sum
+        # is a member when an n-fold one is not
+        (lambda n, x, y: n > 4 or _in_max_ball(n, x, y), "NG2", "NG1"),
+    ],
+    ids=["NG1", "NG2"],
+)
+def test_normed_conditions_catch_mutant_groups(within, caught, passed):
+    rep = check_normed_conditions(replace(normed_q_group(1), within=within), n_samples=500)
+    axioms = {axiom for axiom, _ in rep.violations}
+    assert caught in axioms and passed not in axioms
+
+
+def test_seeded_checks_refuse_negative_seeds():
+    runs = [
+        lambda seed: sample_check(metric_q(), 10, seed),
+        lambda seed: check_modulus(named_modulus("q-double"), 10, seed),
+        lambda seed: check_normed_conditions(normed_q_group(1), 10, seed),
+    ]
+    for run in runs:
+        assert run(0).passed
+        with pytest.raises(ValueError) as exc:
+            run(-1)
+        assert str(exc.value) == "seed must be non-negative, got -1"
 
 
 def test_normed_q_and_metric_q2_take_their_group():
@@ -851,13 +905,6 @@ def ref_half_plane(rng):
     return (x, y)
 
 
-def ref_interior(rng):
-    while True:
-        pt = ref_half_plane(rng)
-        if pt[1] > 0:
-            return pt
-
-
 def ref_q_vector(rng):
     return (ref_q(rng),)
 
@@ -879,7 +926,7 @@ REFERENCE_SAMPLERS = {
     "padic:5": (ref_integer, ref_integer, 4),
     "cantor": (ref_word, ref_word, 5),
     "tangent-disk": (ref_half_plane, ref_half_plane, 4),
-    "tangent-disk:strict-paper": (ref_half_plane, ref_interior, 4),
+    "tangent-disk:strict-paper": (ref_half_plane, ref_half_plane, 4),
     "normed-q:1": (ref_q_vector, ref_q_vector, 4),
     "normed-q:2": (ref_q_pair, ref_q_pair, 4),
     "indexed-metric": (ref_q, ref_q, 4),
@@ -942,7 +989,7 @@ REL_COUNTS = {
     "padic:5": (10498, 2698),
     "cantor": (12080, 5072),
     "tangent-disk": (10332, 2501),
-    "tangent-disk:strict-paper": (10356, 2501),
+    "tangent-disk:strict-paper": (10353, 2526),
     "normed-q:1": (10628, 2898),
     "normed-q:2": (10121, 2181),
     "indexed-metric": (10585, 2811),

@@ -115,6 +115,13 @@ def test_verify_morphism_names_the_owner_of_a_bad_lifting_table():
         verify_morphism(GS.X, GS.X, FibrousMorphism(CONST1.f, {}))
 
 
+def test_compose_names_a_lifting_off_the_fiber_product():
+    # the second morphism lacks the lifting of element 0 at the midpoint
+    m2 = FibrousMorphism(CONST1.f, {k: t for k, t in CONST1.fstar.items() if k[0] != 0})
+    with pytest.raises(StructureError, match=r"^lifting leaves the fiber product at \(0, 1\)$"):
+        compose(GS.X, GS.X, GS.X, CONST1, m2)
+
+
 def test_compose_matches_g_of_composite():
     comp = compose(GS.X, GS.X, GS.X, CONST1, CONST1)
     direct = functor_G_mor((1, 1), GS, GS)

@@ -12,7 +12,7 @@ from fibrous import (
     validate_topology,
 )
 from fibrous.bitsets import bits
-from fibrous.topology import TOPOLOGY_COUNTS, meet_closure
+from fibrous.topology import MAX_OPENS, TOPOLOGY_COUNTS, meet_closure
 
 SIERPINSKI = FiniteTopology(2, (0, 2, 3))
 
@@ -101,6 +101,15 @@ def test_union_closure():
     assert union_closure([]) == (0,)
     assert union_closure([2, 3]) == (0, 2, 3)
     assert union_closure([1, 2]) == (0, 1, 2, 3)
+
+
+def test_union_closure_is_bounded():
+    # n singletons close to all 2**n subsets
+    n = MAX_OPENS.bit_length() - 1
+    assert len(union_closure([1 << x for x in range(n)])) == MAX_OPENS
+    with pytest.raises(ValueError) as exc:
+        union_closure([1 << x for x in range(26)])
+    assert str(exc.value) == f"the union closure has more than MAX_OPENS = {MAX_OPENS} open sets"
 
 
 def test_meet_closure():
