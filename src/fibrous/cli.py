@@ -25,6 +25,7 @@ from .core import (
 )
 from .bitsets import to_points
 from .functors import (
+    NotATopologyError,
     functor_F_obj,
     functor_G_obj,
     random_spatial_preorder,
@@ -158,12 +159,9 @@ def _cmd_from_top(args) -> int:
     T = topology_from_json(_load_json(args.input))
     try:
         gi = functor_G_obj(T)
-    except ValueError:
-        # functor_G_obj validates T; the report is built only when it fails,
-        # and a valid T re-raises (its G-image is above MAX_G_TABLE)
-        rep = validate_topology(T, verbose=args.verbose)
-        if rep.passed:
-            raise
+    except NotATopologyError as exc:
+        # the report keeps one witness per axiom; --verbose asks for all
+        rep = validate_topology(T, verbose=True) if args.verbose else exc.report
         return _verdict(args, "from-top", rep, ["topology axioms: fail"])
     payload = preorder_to_json(gi.X, gi.w)
     indented = (json.dumps(p, sort_keys=True, indent=2) for p in [payload])

@@ -11,6 +11,7 @@ produces a verified equivalence witness.
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,7 +27,7 @@ from .core import (
     verify_equivalence,
 )
 from .morphisms import FibrousMorphism
-from .report import AxiomReport, Collector, StructureError
+from .report import AxiomReport, Collector, StructureError, jsonable
 from .topology import FiniteTopology, meet_closure, union_closure, validate_topology
 
 BRUTE_LIMIT = 20  # the brute-force F walks all 2**nB point subsets
@@ -43,6 +44,17 @@ class NotContinuousError(ValueError):
     def __init__(self, witness_open: list[int]):
         self.witness_open = witness_open
         super().__init__(f"preimage of open set {witness_open} is not open")
+
+
+class NotATopologyError(ValueError):
+    """A family of opens failed :func:`validate_topology`; carries the report
+    and names its first violation."""
+
+    def __init__(self, report: AxiomReport):
+        self.report = report
+        tag, witness = report.violations[0]
+        witness = json.dumps(jsonable(witness), sort_keys=True)
+        super().__init__(f"input family is not a topology: {tag}: witness {witness}")
 
 
 @dataclass(frozen=True)
@@ -89,24 +101,26 @@ def functor_G_obj(T: FiniteTopology) -> GImage:
     """Build the carrier of all (open set, member point) pairs of ``T``.
 
     Elements are ordered by (open set as integer, point).  The refinement of
-    ``((U, x), y)`` is ``(U, y)``; the witness is :attr:`GImage.w`.
+    ``((U, x), y)`` is ``(U, y)``; the witness is :attr:`GImage.w`.  The
+    size bound is tested before the quadratic topology check, which raises
+    :class:`NotATopologyError`.
     """
+    # d has at most one entry per element and point
+    size = sum(map(int.bit_count, T.opens)) * T.nB
+    if size > MAX_G_TABLE:
+        raise ValueError(
+            f"the G-image's refinement table would have up to {size} entries, "
+            f"above MAX_G_TABLE = {MAX_G_TABLE}"
+        )
     rep = validate_topology(T)
     if not rep.passed:
-        raise ValueError(f"input family is not a topology: {rep.to_json()}")
+        raise NotATopologyError(rep)
     p, R, first = [], [], {}
     for u in T.opens:
         first[u] = len(p)
         pts = bits(u)
         p += pts
         R += [u] * len(pts)
-    # d has at most one entry per element and point
-    size = len(p) * T.nB
-    if size > MAX_G_TABLE:
-        raise ValueError(
-            f"the G-image's refinement table would have up to {size} entries, "
-            f"above MAX_G_TABLE = {MAX_G_TABLE}"
-        )
     # d[(i, y)] is GImage.element(R[i], y), with first[U] in place of a bisect
     d = {(i, y): t for i, u in enumerate(R) for t, y in enumerate(bits(u), first[u])}
     return GImage(FinFibrousPreorder(T.nB, len(p), p, R, d), T)

@@ -19,6 +19,8 @@ from typing import Callable, Iterator
 
 from .report import AxiomReport, Collector
 
+_MAX_INDEX = 4  # sampled indices, and the normed check's n and n2, lie in 1..4
+
 
 def _below(getrandbits: Callable[[int], int], n: int) -> int:
     """Uniform draw from ``range(n)``, ``n > 0``, by the standard library's
@@ -135,7 +137,6 @@ def mk_indexed_family(
     refine: Callable,
     draw_point: Callable,
     op: Callable = operator.mul,
-    index_max: int = 4,
 ) -> NeighborhoodOracle:
     """Oracle from an indexed family of relations ``relates(n, x, y)``.
 
@@ -144,7 +145,7 @@ def mk_indexed_family(
     indices with ``op``.  The refinement is ``(refine(n, x, y), y)``; a
     ``refine`` that is only defined on related pairs raises ``ValueError``
     on the others itself.  The element sampler draws indices uniformly from
-    ``1..index_max`` and points from ``draw_point``, which also feeds the
+    ``1.._MAX_INDEX`` and points from ``draw_point``, which also feeds the
     point sampler.
     """
 
@@ -169,7 +170,7 @@ def mk_indexed_family(
         rng = Random(seed)
         getrandbits = rng.getrandbits
         while True:
-            yield (1 + _below(getrandbits, index_max), draw_point(rng))
+            yield (1 + _below(getrandbits, _MAX_INDEX), draw_point(rng))
 
     return NeighborhoodOracle(
         name=name,
@@ -456,20 +457,15 @@ def mk_cantor() -> NeighborhoodOracle:
         return n
 
     def draw(rng):
-        # a preperiod of 0-4 letters, then a period of 1-4, one _below call
-        # per length and per letter in that order, so a seed replays its bits
+        # a preperiod of 0-4 letters, then a period of 1-4, each length
+        # followed by its letters as one code (getrandbits(0) is 0)
         getrandbits = rng.getrandbits
         n_pre = _below(getrandbits, 5)
-        pre_code = 0
-        for _ in range(n_pre):
-            pre_code = 2 * pre_code + _below(getrandbits, 2)
+        pre_code = getrandbits(n_pre)
         n_per = 1 + _below(getrandbits, 4)
-        per_code = 0
-        for _ in range(n_per):
-            per_code = 2 * per_code + _below(getrandbits, 2)
-        return _coded_word(n_pre, pre_code, n_per, per_code)
+        return _coded_word(n_pre, pre_code, n_per, getrandbits(n_per))
 
-    return mk_indexed_family("cantor", relates, refine, draw, index_max=5)
+    return mk_indexed_family("cantor", relates, refine, draw)
 
 
 # ---------------------------------------------------------------------------
@@ -655,8 +651,8 @@ def check_normed_conditions(
     for rnd in range(n_samples):
         a = group.draw_point(rng)
         a2 = group.draw_point(rng)
-        n = 1 + _below(getrandbits, 4)
-        n2 = 1 + _below(getrandbits, 4)
+        n = 1 + _below(getrandbits, _MAX_INDEX)
+        n2 = 1 + _below(getrandbits, _MAX_INDEX)
         if within(n * n2, a, zero) and not (within(n, a, zero) and within(n2, a, zero)):
             col.add("NG2", wit())
         if (

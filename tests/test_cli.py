@@ -582,6 +582,46 @@ def test_roundtrip_gf_file(tmp_path, sierpinski_g, capsys):
     assert report["witnesses"][0]["phi"] == [0, 1, 2]
 
 
+def test_roundtrip_fg_names_the_first_topology_violation(tmp_path, capsys):
+    path = write(tmp_path, "tbad.json", PINNED_FILES["TBAD"])
+    assert main(["roundtrip", "--mode", "fg", path, "--json"]) == 2
+    assert capsys.readouterr() == ("", "error: input family is not a topology: empty: witness []\n")
+
+
+def test_roundtrip_fg_reports_a_topology_it_does_not_recover(sierpinski_top, monkeypatch, capsys):
+    import fibrous.functors as functors
+
+    # F hands back {[], [0], [0, 1]} in place of Sierpinski's {[], [1], [0, 1]}
+    monkeypatch.setattr(functors, "functor_F_obj", lambda X: FiniteTopology(2, (0, 1, 3)))
+    assert main(["roundtrip", "--mode", "fg", sierpinski_top, "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "roundtrip",
+        "mode": "fg",
+        "checked": 1,
+        "failures": [
+            {
+                "instance": 0,
+                "passed": False,
+                "violations": [{"axiom": "FG", "witness": {"missing": [[1]], "extra": [[0]]}}],
+            }
+        ],
+    }
+    assert main(["roundtrip", "--mode", "fg", sierpinski_top]) == 1
+    assert capsys.readouterr() == ("fg round-trip: 1 instance(s), 1 failure(s)\n", "")
+
+
+def test_roundtrip_gf_refuses_a_witness_that_fails_verification(sierpinski_g, monkeypatch, capsys):
+    import fibrous.functors as functors
+
+    # gamma sends every element of G(F(X)) to element 0, which lies over point 1
+    monkeypatch.setattr(functors, "_cover", lambda src, dst: (0,) * src.nA)
+    assert main(["roundtrip", "--mode", "gf", sierpinski_g, "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: round-trip witness failed verification: ")
+    assert "P-GAMMA" in err
+
+
 def test_enum_top(capsys):
     assert main(["enum-top", "2", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)

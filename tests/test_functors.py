@@ -27,7 +27,7 @@ from fibrous import (
 )
 from fibrous import functors
 from fibrous.bitsets import bits, is_subset
-from fibrous.functors import BRUTE_LIMIT, NotContinuousError
+from fibrous.functors import BRUTE_LIMIT, NotATopologyError, NotContinuousError
 from fibrous.report import StructureError
 
 SIERPINSKI = FiniteTopology(2, (0, 2, 3))
@@ -94,6 +94,19 @@ def test_g_image_tables_are_bounded(monkeypatch):
         functor_G_obj(T).w
     assert str(exc.value) == (
         "the G-image's meet table would have 28672 entries, above MAX_G_TABLE = 28671"
+    )
+
+
+def test_g_image_size_is_refused_before_the_topology_is_checked(monkeypatch):
+    # 16,384 opens: checking them pairwise would take tens of seconds
+    def unreachable(T, verbose=False):
+        raise AssertionError("validate_topology ran")
+
+    monkeypatch.setattr(functors, "validate_topology", unreachable)
+    with pytest.raises(ValueError) as exc:
+        functor_G_obj(discrete(14))
+    assert str(exc.value) == (
+        "the G-image's refinement table would have up to 1605632 entries, above MAX_G_TABLE = 1048576"
     )
 
 
@@ -302,7 +315,7 @@ def test_roundtrip_gf_on_g_image_is_bijective():
          "element 0 is outside its own neighborhood; input violates F2"),
         ((0,), (0b111,), StructureError,
          "no element fits an open set; input violates F1-F6"),
-        ((0,), (0b001,), ValueError, "input family is not a topology: "),
+        ((0,), (0b001,), NotATopologyError, "input family is not a topology: "),
     ],
     ids=["F2", "F2-not-a-topology", "no-fit", "not-a-topology"],
 )
