@@ -26,6 +26,7 @@ from .core import (
 from .bitsets import to_points
 from .functors import (
     NotATopologyError,
+    _check_meet_table,
     functor_F_obj,
     functor_G_obj,
     random_spatial_preorder,
@@ -157,6 +158,8 @@ def _cmd_to_top(args) -> int:
 
 def _cmd_from_top(args) -> int:
     T = topology_from_json(_load_json(args.input))
+    # the witness's bound needs only T: test it before the pairwise check
+    _check_meet_table(T)
     try:
         gi = functor_G_obj(T)
     except NotATopologyError as exc:

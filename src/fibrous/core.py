@@ -2,8 +2,10 @@
 
 A finite instance is a projection ``p`` from fibre elements to base points,
 a related-points bitset ``R[a]`` per element, and a refinement table ``d``
-defined on exactly the related pairs.  The checks here are exhaustive, so a
-passing report is a proof at this carrier size.
+defined on exactly the related pairs; ``p`` and ``R`` alone form a
+:class:`FinNeighborhoods`, the part that the equivalence checks read.  The
+checks here are exhaustive, so a passing report is a proof at this carrier
+size.
 """
 
 from __future__ import annotations
@@ -18,21 +20,21 @@ from .report import AxiomReport, Collector, FormatError, StructureError
 
 
 @dataclass(frozen=True)
-class FinFibrousPreorder:
-    """Finite carrier with base points ``0..nB-1`` and elements ``0..nA-1``.
+class FinNeighborhoods:
+    """The neighborhood part of a finite carrier, without its refinements:
+    base points ``0..nB-1`` and elements ``0..nA-1``.
 
-    ``p[a]`` is the point of element ``a``; ``R[a]`` the bitset of points
-    related to ``a``; ``d[(a, b)]`` a refining element, present for exactly
-    the pairs with ``b`` set in ``R[a]``.  Values are immutable once built;
-    the constructor enforces the structural invariants and raises
-    :class:`StructureError` otherwise.
+    ``p[a]`` is the point of element ``a`` and ``R[a]`` the bitset of points
+    related to ``a``.  This is all that :func:`_cover`,
+    :func:`verify_equivalence` and the conversion to a topology read.  The
+    constructor checks sizes and ranges and raises :class:`StructureError`
+    otherwise.
     """
 
     nB: int
     nA: int
     p: tuple[int, ...]
     R: tuple[int, ...]
-    d: dict[tuple[int, int], int]
 
     def __post_init__(self):
         object.__setattr__(self, "p", tuple(self.p))
@@ -47,15 +49,6 @@ class FinFibrousPreorder:
         bad = first_outside(self.R, self.nB)
         if bad is not None:
             raise StructureError(f"R[{bad}] has bits outside the base set")
-        R = self.R
-        check_table(
-            self.d,
-            lambda: ((a, b) for a, row in enumerate(R) for b in bits(row)),
-            sum(map(int.bit_count, R)),
-            self.nA,
-            "d",
-            "the related pairs",
-        )
 
     @cached_property
     def fibers(self) -> tuple[tuple[int, ...], ...]:
@@ -73,6 +66,31 @@ class FinFibrousPreorder:
             if not R[a] & ~S:
                 return a
         return None
+
+
+@dataclass(frozen=True)
+class FinFibrousPreorder(FinNeighborhoods):
+    """Finite carrier: :class:`FinNeighborhoods` plus a refinement table.
+
+    ``d[(a, b)]`` is a refining element, present for exactly the pairs with
+    ``b`` set in ``R[a]``.  Values are immutable once built; the constructor
+    enforces the structural invariants and raises :class:`StructureError`
+    otherwise.
+    """
+
+    d: dict[tuple[int, int], int]
+
+    def __post_init__(self):
+        super().__post_init__()
+        R = self.R
+        check_table(
+            self.d,
+            lambda: ((a, b) for a, row in enumerate(R) for b in bits(row)),
+            sum(map(int.bit_count, R)),
+            self.nA,
+            "d",
+            "the related pairs",
+        )
 
 
 def check_table(
@@ -212,7 +230,7 @@ def check_axioms(
     return col.report()
 
 
-def _cover(src: FinFibrousPreorder, dst: FinFibrousPreorder) -> tuple[int, ...] | None:
+def _cover(src: FinNeighborhoods, dst: FinNeighborhoods) -> tuple[int, ...] | None:
     # For each src element, least dst element over the same point whose
     # neighborhood is contained in the src neighborhood.
     out = tuple(map(dst.least_within, src.p, src.R))
@@ -245,8 +263,8 @@ def find_equivalence(
 
 
 def verify_equivalence(
-    X: FinFibrousPreorder,
-    Xp: FinFibrousPreorder,
+    X: FinNeighborhoods,
+    Xp: FinNeighborhoods,
     w: EquivalenceWitness,
     verbose: bool = False,
 ) -> AxiomReport:

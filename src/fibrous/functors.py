@@ -1,7 +1,13 @@
 """The two conversions between finite topologies and spatial carriers.
 
 ``functor_G_obj`` turns a topology into the carrier of (open set, point)
-pairs; ``functor_F_obj`` turns a spatial carrier back into a topology by
+pairs.  It builds only the neighborhood part of that carrier; the
+refinement table ``d`` is built, and validated, on the first read of
+``gi.X``, and the spatial witness on the first read of ``gi.w``.  Neither
+round trip nor ``functor_G_mor`` reads them.  ``_check_meet_table`` bounds
+the witness from the topology alone, so ``from-top`` refuses the 10- to
+14-point discrete topologies before their opens are compared pairwise.
+``functor_F_obj`` turns a spatial carrier back into a topology by
 closing the neighborhood sets under unions, and ``functor_F_obj_brute`` is an
 independent oracle for it that tests every point subset.  Both round trips
 are checkable:
@@ -13,14 +19,17 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from random import Random
 
 from .bitsets import bits, full_mask, is_subset, preimage, to_points
 from .core import (
     EquivalenceWitness,
     FinFibrousPreorder,
+    FinNeighborhoods,
     SpatialWitness,
     _cover,
     check_map,
@@ -52,40 +61,66 @@ class NotATopologyError(ValueError):
 
     def __init__(self, report: AxiomReport):
         self.report = report
-        tag, witness = report.violations[0]
-        witness = json.dumps(jsonable(witness), sort_keys=True)
-        super().__init__(f"input family is not a topology: {tag}: witness {witness}")
+        super().__init__(f"input family is not a topology: {_first_violation(report)}")
+
+
+def _first_violation(report: AxiomReport) -> str:
+    """``tag: witness <json>`` for the first violation of ``report``."""
+    tag, witness = report.violations[0]
+    return f"{tag}: witness {json.dumps(jsonable(witness), sort_keys=True)}"
+
+
+def _check_meet_table(T: FiniteTopology) -> None:
+    """Raise ``ValueError`` when the meet table of the G-image of ``T`` would
+    hold more than :data:`MAX_G_TABLE` entries.  It holds ``k**2`` entries
+    for each point in ``k`` opens, so ``T`` alone decides it, before any
+    topology check."""
+    counts = Counter(chain.from_iterable(map(bits, T.opens)))
+    size = sum(k * k for k in counts.values())
+    if size > MAX_G_TABLE:
+        raise ValueError(
+            f"the G-image's meet table would have {size} entries, "
+            f"above MAX_G_TABLE = {MAX_G_TABLE}"
+        )
 
 
 @dataclass(frozen=True)
 class GImage:
-    """Carrier built from the topology ``T``, with its witness.
+    """Carrier built from the topology ``T``: its neighborhood part ``N``,
+    with the full carrier ``X`` and the witness ``w`` built on first read.
 
-    Element ``a`` is the (open-set bitset, point) pair ``(X.R[a], X.p[a])``;
+    Element ``a`` is the (open-set bitset, point) pair ``(N.R[a], N.p[a])``;
     elements are sorted by pair, so :meth:`element` finds each from its pair.
-    The witness ``w`` is built on its first read: the round trips and
-    :func:`functor_G_mor` never read it.
+    The round trips and :func:`functor_G_mor` read only ``N``.
     """
 
-    X: FinFibrousPreorder
+    N: FinNeighborhoods
     T: FiniteTopology
 
     def element(self, u: int, y: int) -> int:
         """The element ``(u, y)``, for ``y`` in the open set ``u``: the first
         element over ``u`` plus the number of points of ``u`` below ``y``."""
-        return bisect_left(self.X.R, u) + (u & ((1 << y) - 1)).bit_count()
+        return bisect_left(self.N.R, u) + (u & ((1 << y) - 1)).bit_count()
+
+    @cached_property
+    def X(self) -> FinFibrousPreorder:
+        """The carrier with its refinement table: the refinement of
+        ``((U, x), y)`` is ``(U, y)``.  Validated on construction."""
+        N = self.N
+        # the elements over an open set are consecutive; first[U] is where
+        # they start, in place of a bisect per element
+        first = {}
+        for i, u in enumerate(N.R):
+            first.setdefault(u, i)
+        d = {(i, y): t for i, u in enumerate(N.R) for t, y in enumerate(bits(u), first[u])}
+        return FinFibrousPreorder(N.nB, N.nA, N.p, N.R, d)
 
     @cached_property
     def w(self) -> SpatialWitness:
         """The section picks ``(full set, x)`` and the meet of ``(U, x)`` and
         ``(V, x)`` is ``(U & V, x)``, looked up among the fiber of ``x``."""
-        R, fibers = self.X.R, self.X.fibers
-        size = sum(len(fiber) ** 2 for fiber in fibers)
-        if size > MAX_G_TABLE:
-            raise ValueError(
-                f"the G-image's meet table would have {size} entries, "
-                f"above MAX_G_TABLE = {MAX_G_TABLE}"
-            )
+        _check_meet_table(self.T)
+        R, fibers = self.N.R, self.N.fibers
         full = full_mask(self.T.nB)
         s = tuple(self.element(full, x) for x in range(self.T.nB))
         m = {}
@@ -100,12 +135,13 @@ class GImage:
 def functor_G_obj(T: FiniteTopology) -> GImage:
     """Build the carrier of all (open set, member point) pairs of ``T``.
 
-    Elements are ordered by (open set as integer, point).  The refinement of
-    ``((U, x), y)`` is ``(U, y)``; the witness is :attr:`GImage.w`.  The
-    size bound is tested before the quadratic topology check, which raises
+    Elements are ordered by (open set as integer, point).  Only the
+    neighborhood part :attr:`GImage.N` is built here; the refinement table
+    is :attr:`GImage.X` and the witness :attr:`GImage.w`.  The size bound is
+    tested before the quadratic topology check, which raises
     :class:`NotATopologyError`.
     """
-    # d has at most one entry per element and point
+    # d has at most one entry per element and point, and bounds p and R
     size = sum(map(int.bit_count, T.opens)) * T.nB
     if size > MAX_G_TABLE:
         raise ValueError(
@@ -115,20 +151,17 @@ def functor_G_obj(T: FiniteTopology) -> GImage:
     rep = validate_topology(T)
     if not rep.passed:
         raise NotATopologyError(rep)
-    p, R, first = [], [], {}
+    p, R = [], []
     for u in T.opens:
-        first[u] = len(p)
         pts = bits(u)
         p += pts
         R += [u] * len(pts)
-    # d[(i, y)] is GImage.element(R[i], y), with first[U] in place of a bisect
-    d = {(i, y): t for i, u in enumerate(R) for t, y in enumerate(bits(u), first[u])}
-    return GImage(FinFibrousPreorder(T.nB, len(p), p, R, d), T)
+    return GImage(FinNeighborhoods(T.nB, len(p), p, R), T)
 
 
 def functor_G_mor(f, gi: GImage, gip: GImage) -> FibrousMorphism:
     """Lift a continuous point map ``f: gi.T -> gip.T`` to a morphism from
-    ``gi.X`` to ``gip.X``.
+    ``gi.X`` to ``gip.X``, built from their neighborhood parts alone.
 
     Continuity (every open's preimage is open) is checked first; a failure
     raises :class:`NotContinuousError` naming the offending open set.  The
@@ -142,18 +175,18 @@ def functor_G_mor(f, gi: GImage, gip: GImage) -> FibrousMorphism:
     for up, u in pre.items():
         if u not in opens:
             raise NotContinuousError(to_points(up))
-    fibers, R = gip.X.fibers, gip.X.R
+    fibers, R = gip.N.fibers, gip.N.R
     fstar = {(i, y): gi.element(pre[R[i]], y) for y in range(T.nB) for i in fibers[f[y]]}
     return FibrousMorphism(f, fstar)
 
 
-def functor_F_obj(X: FinFibrousPreorder) -> FiniteTopology:
+def functor_F_obj(X: FinNeighborhoods) -> FiniteTopology:
     """Topology induced by a spatial carrier (assumed to pass F1-F6): all
     unions of element neighborhoods."""
     return FiniteTopology(X.nB, union_closure(X.R))
 
 
-def functor_F_obj_brute(X: FinFibrousPreorder) -> FiniteTopology:
+def functor_F_obj_brute(X: FinNeighborhoods) -> FiniteTopology:
     """Oracle for :func:`functor_F_obj`: test every point subset for the
     defining condition (each member point must carry an element whose
     neighborhood stays inside).  The two agree on every valid input; this
@@ -172,7 +205,7 @@ def functor_F_obj_brute(X: FinFibrousPreorder) -> FiniteTopology:
 def roundtrip_FG(T: FiniteTopology) -> AxiomReport:
     """Assert that converting ``T`` to a carrier and back reproduces it exactly."""
     gi = functor_G_obj(T)
-    back = functor_F_obj(gi.X)
+    back = functor_F_obj(gi.N)
     col = Collector()
     if back.opens != T.opens:
         got, want = set(back.opens), set(T.opens)
@@ -197,13 +230,15 @@ def roundtrip_GF(X: FinFibrousPreorder) -> EquivalenceWitness:
             )
     gbar = functor_G_obj(functor_F_obj(X))
     phi = tuple(map(gbar.element, X.R, X.p))
-    gamma = _cover(gbar.X, X)
+    gamma = _cover(gbar.N, X)
     if gamma is None:
         raise StructureError("no element fits an open set; input violates F1-F6")
     witness = EquivalenceWitness(phi, gamma)
-    rep = verify_equivalence(X, gbar.X, witness)
+    rep = verify_equivalence(X, gbar.N, witness)
     if not rep.passed:
-        raise StructureError(f"round-trip witness failed verification: {rep.to_json()}")
+        raise StructureError(
+            f"round-trip witness failed verification: {_first_violation(rep)}"
+        )
     return witness
 
 

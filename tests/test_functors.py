@@ -7,6 +7,7 @@ import pytest
 
 from fibrous import (
     FinFibrousPreorder,
+    FinNeighborhoods,
     FiniteTopology,
     SpatialWitness,
     check_axioms,
@@ -42,7 +43,9 @@ def test_g_on_one_point_space():
 def test_g_sierpinski_structure():
     gi = functor_G_obj(SIERPINSKI)
     assert gi.T == SIERPINSKI
-    assert [f.name for f in fields(gi)] == ["X", "T"]
+    # the record holds the neighborhood part and T; X and w are built on read
+    assert [f.name for f in fields(gi)] == ["N", "T"]
+    assert type(gi.N) is FinNeighborhoods
     assert [gi.element(u, x) for u, x in ((2, 1), (3, 0), (3, 1))] == [0, 1, 2]
     assert gi.X.p == (1, 0, 1)
     assert gi.X.R == (2, 3, 3)
@@ -110,6 +113,19 @@ def test_g_image_size_is_refused_before_the_topology_is_checked(monkeypatch):
     )
 
 
+def test_meet_table_bound_is_read_from_the_topology(monkeypatch):
+    # the bound computed from T alone is the size of the witness's meet table
+    for n in range(5):
+        for T in enumerate_topologies(n):
+            size = len(functor_G_obj(T).w.m)
+            monkeypatch.setattr(functors, "MAX_G_TABLE", size)
+            functors._check_meet_table(T)
+            monkeypatch.setattr(functors, "MAX_G_TABLE", size - 1)
+            with pytest.raises(ValueError, match=f" would have {size} entries,"):
+                functors._check_meet_table(T)
+            monkeypatch.undo()
+
+
 def test_g_images_pass_axioms_on_all_small_topologies():
     for n in range(5):
         for T in enumerate_topologies(n):
@@ -122,7 +138,10 @@ def test_g_images_pass_axioms_on_all_small_topologies():
             assert [gi.element(u, x) for u, x in pairs] == list(range(X.nA))
             index = {pair: a for a, pair in enumerate(pairs)}
             ref_d = {(i, y): index[(X.R[i], y)] for i in range(X.nA) for y in bits(X.R[i])}
-            assert X.d == ref_d and list(X.d) == list(ref_d)
+            # the carrier built on first read equals an eager build, and is kept
+            eager = FinFibrousPreorder(T.nB, len(pairs), gi.N.p, gi.N.R, ref_d)
+            assert X == eager and list(X.d) == list(ref_d)
+            assert gi.X is X
             ref = _g_witness_by_definition(gi, index)
             # same tables, same insertion order, built once
             assert gi.w == ref and list(gi.w.m) == list(ref.m)
@@ -150,6 +169,29 @@ def test_round_trips_never_build_a_witness(monkeypatch):
                 except NotContinuousError:
                     continue
                 assert verify_morphism(gi.X, gip.X, mor).passed
+
+
+def test_round_trips_never_build_a_refinement_table(monkeypatch):
+    randoms = [random_spatial_preorder(seed)[0] for seed in range(40)]
+    gis = [functor_G_obj(T) for n in range(4) for T in enumerate_topologies(n)]
+
+    def unbuilt(self):
+        raise AssertionError("a FinFibrousPreorder was built")
+
+    monkeypatch.setattr(FinFibrousPreorder, "__post_init__", unbuilt)
+    for n in range(5):
+        for T in enumerate_topologies(n):
+            assert roundtrip_FG(T).passed
+    for X in randoms:
+        roundtrip_GF(X)
+    for gi in gis:
+        for gip in gis:
+            for f in product(range(gip.T.nB), repeat=gi.T.nB):
+                try:
+                    functor_G_mor(f, gi, gip)
+                except NotContinuousError:
+                    pass
+    assert all("X" not in vars(gi) for gi in gis)
 
 
 def test_g_mor_identity_equals_identity_morphism():
