@@ -49,7 +49,7 @@ from .morphisms import (
     morphism_to_json,
     verify_morphism,
 )
-from .report import FormatError, jsonable
+from .report import FormatError, jsonable, violation_line
 from .topology import (
     enumerate_topologies,
     topology_from_json,
@@ -122,11 +122,9 @@ def _emit(args, code: int, obj, prose) -> int:
     return code
 
 
-def _violation_lines(report_json: dict) -> list[str]:
-    return [
-        f"  {v['axiom']}: witness {json.dumps(v['witness'], sort_keys=True)}"
-        for v in report_json["violations"]
-    ]
+def _violation_lines(rep):
+    """One indented line per violation of ``rep``, each built when read."""
+    return (f"  {violation_line(tag, witness)}" for tag, witness in rep.violations)
 
 
 def _verdict(args, command: str, rep, head: list[str], **fields) -> int:
@@ -134,7 +132,7 @@ def _verdict(args, command: str, rep, head: list[str], **fields) -> int:
     violation; exit 0 if it passed, 1 if not."""
     obj = {"command": command, **fields, **rep.to_json()}
     code = EXIT_OK if rep.passed else EXIT_VIOLATION
-    return _emit(args, code, obj, head + _violation_lines(obj))
+    return _emit(args, code, obj, chain(head, _violation_lines(rep)))
 
 
 def _cmd_check(args) -> int:
@@ -206,8 +204,8 @@ def _cmd_compose(args) -> int:
     if not (rep1.passed and rep2.passed):
         first, second = rep1.to_json(), rep2.to_json()
         obj = {"command": "compose", "passed": False, "first": first, "second": second}
-        prose = ["input morphisms fail verification"]
-        prose += _violation_lines(first) + _violation_lines(second)
+        head = ["input morphisms fail verification"]
+        prose = chain(head, _violation_lines(rep1), _violation_lines(rep2))
         return _emit(args, EXIT_VIOLATION, obj, prose)
     payload = morphism_to_json(compose(Xa, Xb, Xc, m1, m2))
     return _emit(args, EXIT_OK, payload, (json.dumps(p, sort_keys=True) for p in [payload]))

@@ -17,7 +17,6 @@ produces a verified equivalence witness.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ from .core import (
     verify_equivalence,
 )
 from .morphisms import FibrousMorphism
-from .report import AxiomReport, Collector, StructureError, jsonable
+from .report import AxiomReport, Collector, StructureError, violation_line
 from .topology import FiniteTopology, meet_closure, union_closure, validate_topology
 
 BRUTE_LIMIT = 20  # the brute-force F walks all 2**nB point subsets
@@ -61,13 +60,8 @@ class NotATopologyError(ValueError):
 
     def __init__(self, report: AxiomReport):
         self.report = report
-        super().__init__(f"input family is not a topology: {_first_violation(report)}")
-
-
-def _first_violation(report: AxiomReport) -> str:
-    """``tag: witness <json>`` for the first violation of ``report``."""
-    tag, witness = report.violations[0]
-    return f"{tag}: witness {json.dumps(jsonable(witness), sort_keys=True)}"
+        first = violation_line(*report.violations[0])
+        super().__init__(f"input family is not a topology: {first}")
 
 
 def _check_meet_table(T: FiniteTopology) -> None:
@@ -236,9 +230,8 @@ def roundtrip_GF(X: FinFibrousPreorder) -> EquivalenceWitness:
     witness = EquivalenceWitness(phi, gamma)
     rep = verify_equivalence(X, gbar.N, witness)
     if not rep.passed:
-        raise StructureError(
-            f"round-trip witness failed verification: {_first_violation(rep)}"
-        )
+        first = violation_line(*rep.violations[0])
+        raise StructureError(f"round-trip witness failed verification: {first}")
     return witness
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -68,3 +69,9 @@ def jsonable(value):
     if isinstance(value, Fraction):
         return str(value)
     return repr(value)
+
+
+def violation_line(tag: str, witness) -> str:
+    """``tag: witness <JSON>``: the one printed form of a violation, its
+    witness formatted by :func:`jsonable` and dumped with sorted keys."""
+    return f"{tag}: witness {json.dumps(jsonable(witness), sort_keys=True)}"

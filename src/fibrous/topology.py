@@ -1,16 +1,21 @@
 """Finite topologies as validated bitset families, plus exhaustive enumeration.
 
-:func:`enumerate_topologies` walks the specialization preorders (up to 6
-points): on a finite set every topology is the Alexandrov topology of exactly
-one preorder.  Two independent generators serve as its oracles: a
-brute-force filter over all set families (up to 3 points) and a
-minimal-neighborhood generator that dedups coherent choices (up to 4 points).
+On a finite set every topology is the Alexandrov topology of exactly one
+preorder, so a topology on ``k + 1`` points is one on ``k`` points plus the
+new point's up-set (an old open set) and down-set (the complement of an old
+open set).  :func:`enumerate_topologies` (up to 6 points) extends every
+topology by every such pair that fits.  Two independent generators serve as
+its oracles: a brute-force filter over all set families (up to 3 points) and
+a minimal-neighborhood generator that dedups coherent choices (up to 4
+points).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
+from operator import attrgetter, or_
 from typing import Callable
 
 from .bitsets import bits, first_outside, full_mask, is_subset, to_points
@@ -149,40 +154,35 @@ def enumerate_topologies_closure(n: int) -> list[FiniteTopology]:
 def enumerate_topologies(n: int) -> list[FiniteTopology]:
     """All topologies on ``n`` points (n <= 6), sorted by their opens.
 
-    Backtracks over the minimal neighborhoods ``theta[x]`` of a
-    specialization preorder, one row at a time.  A new row is checked
-    against every earlier row in both directions (a row containing another
-    point contains that point's row), so each transitivity pair is checked
-    once, when its later row is placed.  Each complete assignment is a
-    distinct preorder, hence a distinct topology: its union closure.  The
-    tests check this against the closure and brute-force generators.
+    Adds one point at a time.  A topology on ``0..k`` restricts to one on
+    ``0..k-1`` and is fixed by two old opens: ``u``, the new point's minimal
+    neighborhood without the point, and ``c``, the largest open missing the
+    point.  Each pair with every old open inside ``c`` or containing ``u``
+    gives one topology: the old opens inside ``c``, then ``o | new`` for each
+    old ``o`` containing ``u``, already sorted.  The tests check this against
+    the closure and brute-force generators.
     """
     if not 0 <= n <= 6:
         raise ValueError("enumeration supports at most 6 points")
-    choices = [[m for m in range(1 << n) if m >> x & 1] for x in range(n)]
-    found = []
-    _place(0, [0] * n, choices, found)
-    found.sort()
-    return [FiniteTopology(n, opens) for opens in found]
-
-
-def _place(x: int, theta: list[int], choices: list[list[int]], found: list) -> None:
-    # One backtracking step of enumerate_topologies: try each row for point
-    # x, recurse on x + 1, and append the union closure of each complete
-    # assignment to found.  Module level, not a nested function: a closure
-    # that calls itself is a reference cycle through its own cell, and would
-    # keep found alive until the cyclic collector runs.
-    if x == len(theta):
-        found.append(union_closure(theta))
-        return
-    earlier = list(enumerate(theta[:x]))
-    for t in choices[x]:
-        for y, ty in earlier:
-            if ty >> x & 1 and t & ~ty or t >> y & 1 and ty & ~t:
-                break
-        else:
-            theta[x] = t
-            _place(x + 1, theta, choices, found)
+    layer = [FiniteTopology(0, (0,))]
+    for k in range(n):
+        new = 1 << k
+        children = []
+        for T in layer:
+            opens = T.opens
+            # lists: freed tuples would stay parked in CPython's free lists
+            # while cli.main pauses the collector
+            inside = {c: [o for o in opens if o & ~c == 0] for c in opens}
+            for u in opens:
+                above = [o | new for o in opens if u & ~o == 0]
+                # the old opens that do not contain u must lie inside c
+                rest = reduce(or_, (o for o in opens if u & ~o), 0)
+                children += [
+                    FiniteTopology(k + 1, inside[c] + above) for c in opens if rest & ~c == 0
+                ]
+        layer = children
+    layer.sort(key=attrgetter("opens"))
+    return layer
 
 
 def topology_to_json(T: FiniteTopology, points: Callable[[int], list[int]] = to_points) -> dict:

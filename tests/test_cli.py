@@ -292,6 +292,30 @@ def test_pinned_output(argv, code, stdout, tmp_path, capsys):
     assert capsys.readouterr() == (stdout, "")
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "BAD2", "--verbose"],
+    ["from-top", "TBAD"],
+    ["compose", "G", "G", "G", "MBAD", "MBAD"],
+    ["modulus-check", "q-double-bad", "--samples", "2000", "--seed", "5", "--verbose"],
+], ids=lambda argv: argv[0])
+def test_json_reports_build_no_violation_lines(argv, tmp_path, monkeypatch, capsys):
+    """A failing --json report prints its violations as JSON only: the prose
+    violation lines are never built.  Without --json they are."""
+    import fibrous.cli as cli
+
+    paths = {name: write(tmp_path, f"{name}.json", doc) for name, doc in PINNED_FILES.items()}
+    argv = [paths.get(a, a) for a in argv]
+
+    def refuse(tag, witness):
+        raise AssertionError(f"violation line built for {tag}")
+
+    monkeypatch.setattr(cli, "violation_line", refuse)
+    assert main([*argv, "--json"]) == 1
+    assert '"passed": false' in capsys.readouterr().out
+    with pytest.raises(AssertionError, match="violation line built"):
+        main(argv)
+
+
 def _broken_discrete():
     """G of the discrete topology on three points with three ``d`` rows and
     three ``m`` rows sent to the element over the same point whose

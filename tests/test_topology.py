@@ -130,10 +130,12 @@ def test_generators_agree_up_to_three_points():
 
 
 def test_preorder_generator_order_and_six_point_count():
-    five = enumerate_topologies(5)
-    # strictly increasing opens: sorted and pairwise distinct
-    assert all(a.opens < b.opens for a, b in zip(five, five[1:]))
-    assert len(enumerate_topologies(6)) == TOPOLOGY_COUNTS[6] == 209527
+    for n in (5, 6):
+        tops = enumerate_topologies(n)
+        # strictly increasing opens: sorted and pairwise distinct
+        assert all(a.opens < b.opens for a, b in zip(tops, tops[1:]))
+        assert len(tops) == TOPOLOGY_COUNTS[n]
+    assert TOPOLOGY_COUNTS[6] == 209527
 
 
 def test_random_subfamily_closure_generator_agrees():
