@@ -177,7 +177,7 @@ def functor_G_mor(f, gi: GImage, gip: GImage) -> FibrousMorphism:
 def functor_F_obj(X: FinNeighborhoods) -> FiniteTopology:
     """Topology induced by a spatial carrier (assumed to pass F1-F6): all
     unions of element neighborhoods."""
-    return FiniteTopology(X.nB, union_closure(X.R))
+    return FiniteTopology._sorted(X.nB, union_closure(X.R))
 
 
 def functor_F_obj_brute(X: FinNeighborhoods) -> FiniteTopology:

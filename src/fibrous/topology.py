@@ -8,14 +8,21 @@ topology by every such pair that fits.  Two independent generators serve as
 its oracles: a brute-force filter over all set families (up to 3 points) and
 a minimal-neighborhood generator that dedups coherent choices (up to 4
 points).
+
+A topology is decided with two C-level passes over its pairs of opens;
+only a failing family is walked pair by pair, for its witnesses.  The union
+and meet closures make one pass per generator and skip every mask already
+in the closure.  The enumeration and :func:`union_closure` build opens that
+are already in range, distinct and ascending, and ``FiniteTopology._sorted``
+stores those without canonicalizing them again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
-from operator import attrgetter, or_
+from itertools import combinations, product, starmap
+from operator import and_, attrgetter, or_
 from typing import Callable
 
 from .bitsets import bits, first_outside, full_mask, is_subset, to_points
@@ -38,7 +45,8 @@ class FiniteTopology:
 
     ``opens`` is canonicalized on construction: duplicates removed and sorted
     ascending as integers.  Whether the family is actually a topology is
-    decided by :func:`validate_topology`.
+    decided by :func:`validate_topology`.  The package's own builders of
+    canonical opens use :meth:`_sorted`, which skips that work.
     """
 
     nB: int
@@ -52,19 +60,40 @@ class FiniteTopology:
             raise ValueError(f"open set {self.opens[bad]:#b} has bits outside the base set")
         object.__setattr__(self, "opens", tuple(sorted(set(self.opens))))
 
+    @classmethod
+    def _sorted(cls, nB: int, opens: tuple[int, ...]) -> FiniteTopology:
+        """Wrap ``opens`` that are already in range, distinct and ascending,
+        as the enumeration and :func:`union_closure` build them, without
+        checking or sorting them again."""
+        T = object.__new__(cls)
+        object.__setattr__(T, "nB", nB)
+        object.__setattr__(T, "opens", opens)
+        return T
+
 
 def validate_topology(T: FiniteTopology, verbose: bool = False) -> AxiomReport:
     """Check that ``T.opens`` contains the empty and full sets and is closed
-    under pairwise union and intersection; witnesses name the missing sets."""
+    under pairwise union and intersection; witnesses name the missing sets.
+
+    A topology is decided by two C-level passes over the pairs of distinct
+    opens (``u | u`` and ``u & u`` are ``u``).  Only a failing family is
+    walked pair by pair, in order, to collect its witnesses."""
+    opens = T.opens
+    members = set(opens)
+    full = full_mask(T.nB)
+    if (
+        0 in members
+        and full in members
+        and members.issuperset(starmap(or_, combinations(opens, 2)))
+        and members.issuperset(starmap(and_, combinations(opens, 2)))
+    ):
+        return AxiomReport()
     col = Collector(verbose)
-    members = set(T.opens)
     if 0 not in members:
         col.add("empty", ())
-    full = full_mask(T.nB)
     if full not in members:
         col.add("full", (to_points(full),))
     # opens are sorted and unique, so each unordered pair comes once, u <= v
-    opens = T.opens
     for i, u in enumerate(opens):
         for v in opens[i:]:
             if u | v not in members:
@@ -94,21 +123,33 @@ def specialization(
 
 
 def union_closure(masks) -> tuple[int, ...]:
-    """All unions of subfamilies of ``masks`` (the empty union included);
-    raises ``ValueError`` once there are more than ``MAX_OPENS``."""
+    """All unions of subfamilies of ``masks`` (the empty union included), as
+    an ascending tuple; raises ``ValueError`` once there are more than
+    ``MAX_OPENS``.
+
+    The distinct masks are taken in ascending order, and a mask already in
+    the closure is skipped: the closure is closed under unions, so it would
+    add nothing.  A union of smaller masks is therefore never a pass; for
+    the neighborhoods of a G-image only the at most ``nB`` generators are.
+    """
     closed = {0}
-    for m in set(masks):
-        closed |= {c | m for c in closed}
-        if len(closed) > MAX_OPENS:
-            raise ValueError(f"the union closure has more than MAX_OPENS = {MAX_OPENS} open sets")
+    for m in sorted(set(masks)):
+        if m not in closed:
+            closed |= {c | m for c in closed}
+            if len(closed) > MAX_OPENS:
+                raise ValueError(f"the union closure has more than MAX_OPENS = {MAX_OPENS} open sets")
     return tuple(sorted(closed))
 
 
 def meet_closure(masks) -> tuple[int, ...]:
-    """All intersections of nonempty subfamilies of ``masks``."""
+    """All intersections of nonempty subfamilies of ``masks``, as an
+    ascending tuple.  Like :func:`union_closure`, but the masks are taken in
+    descending order, so an intersection of larger masks is skipped."""
     closed = set()
-    for m in set(masks):
-        closed |= {c & m for c in closed} | {m}
+    for m in sorted(set(masks), reverse=True):
+        if m not in closed:
+            closed |= {c & m for c in closed}
+            closed.add(m)
     return tuple(sorted(closed))
 
 
@@ -178,7 +219,9 @@ def enumerate_topologies(n: int) -> list[FiniteTopology]:
                 # the old opens that do not contain u must lie inside c
                 rest = reduce(or_, (o for o in opens if u & ~o), 0)
                 children += [
-                    FiniteTopology(k + 1, inside[c] + above) for c in opens if rest & ~c == 0
+                    FiniteTopology._sorted(k + 1, tuple(inside[c] + above))
+                    for c in opens
+                    if rest & ~c == 0
                 ]
         layer = children
     layer.sort(key=attrgetter("opens"))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fibrous import (
@@ -12,6 +14,7 @@ from fibrous import (
     validate_topology,
 )
 from fibrous.bitsets import bits
+from fibrous.functors import functor_F_obj, functor_G_obj, random_spatial_preorder
 from fibrous.topology import MAX_OPENS, TOPOLOGY_COUNTS, meet_closure
 
 SIERPINSKI = FiniteTopology(2, (0, 2, 3))
@@ -76,12 +79,63 @@ def _validate_by_definition(T):
     return [(tag, tuple(map(list, wit))) for tag, wit in found]
 
 
+def _first_per_tag(found):
+    """The non-verbose report: the first witness of each tag, in order."""
+    first = {}
+    for tag, wit in found:
+        first.setdefault(tag, wit)
+    return list(first.items())
+
+
+def _near_misses(T):
+    """``T`` with one open removed, and ``T`` with one non-open added."""
+    opens = set(T.opens)
+    for u in T.opens:
+        yield opens - {u}
+    for s in range(1 << T.nB):
+        if s not in opens:
+            yield opens | {s}
+
+
+def _random_families(rng, n):
+    """A random family, its topology, and that topology one open short or
+    one set over."""
+    full = (1 << n) - 1
+    fam = set(rng.sample(range(full + 1), rng.randint(0, min(full + 1, 24))))
+    yield fam
+    closed = set(union_closure(meet_closure(fam | {0, full})))
+    yield closed
+    yield closed - {rng.choice(sorted(closed))}
+    yield closed | {rng.randrange(full + 1)}
+
+
+def _families_beyond_three_points():
+    for T in enumerate_topologies(4):
+        for fam in _near_misses(T):
+            yield 4, fam
+    rng = random.Random(0)
+    for n in range(4, 8):
+        for _ in range(40):
+            for fam in _random_families(rng, n):
+                yield n, fam
+
+
 def test_validate_walks_every_pair_in_definition_order():
     for n in range(4):
         for fam in range(1 << (1 << n)):
             T = FiniteTopology(n, tuple(s for s in range(1 << n) if fam >> s & 1))
             rep = validate_topology(T, verbose=True)
             assert list(rep.violations) == _validate_by_definition(T)
+    # the passing decision skips the pair walk, so near-misses matter most
+    passed = failed = 0
+    for n, fam in _families_beyond_three_points():
+        T = FiniteTopology(n, tuple(fam))
+        want = _validate_by_definition(T)
+        assert list(validate_topology(T, verbose=True).violations) == want
+        assert list(validate_topology(T).violations) == _first_per_tag(want)
+        passed += not want
+        failed += bool(want)
+    assert passed > 1000 and failed > 1000
 
 
 def test_specialization_sierpinski():
@@ -116,6 +170,39 @@ def test_meet_closure():
     assert meet_closure([]) == ()
     assert meet_closure([0b011, 0b110]) == (0b010, 0b011, 0b110)
     assert meet_closure([0b001, 0b010, 0b111]) == (0, 0b001, 0b010, 0b111)
+
+
+def _union_closure_reference(masks):
+    closed = {0}
+    for m in set(masks):
+        closed |= {c | m for c in closed}
+    return tuple(sorted(closed))
+
+
+def _meet_closure_reference(masks):
+    closed = set()
+    for m in set(masks):
+        closed |= {c & m for c in closed} | {m}
+    return tuple(sorted(closed))
+
+
+def test_closures_match_the_reference_and_ascend():
+    rng = random.Random(0)
+    for n in range(9):
+        full = (1 << n) - 1
+        for _ in range(60):
+            masks = [rng.randrange(full + 1) for _ in range(rng.randint(0, 12))]
+            masks += rng.choices(masks, k=rng.randint(0, 3)) if masks else []
+            masks += rng.choice([[], [0], [full], [0, full], [full, 0, full]])
+            rng.shuffle(masks)
+            for closure, reference in (
+                (union_closure, _union_closure_reference),
+                (meet_closure, _meet_closure_reference),
+            ):
+                got = closure(masks)
+                assert got == reference(masks)
+                # strictly ascending: FiniteTopology._sorted relies on it
+                assert all(a < b for a, b in zip(got, got[1:]))
 
 
 def test_generators_agree_up_to_three_points():
@@ -162,6 +249,21 @@ def test_random_subfamily_closure_generator_agrees():
             fam = rng.sample(range(1 << n), rng.randint(0, 1 << n))
             seen.add(close(fam, n))
         assert seen == expected
+
+
+def test_sorted_constructor_builds_only_canonical_topologies():
+    def canonical(T):
+        return T == FiniteTopology(T.nB, T.opens)
+
+    for n in range(7):
+        assert all(map(canonical, enumerate_topologies(n)))
+    for n in range(5):
+        for T in enumerate_topologies(n):
+            back = functor_F_obj(functor_G_obj(T).N)
+            assert canonical(back) and back == T
+    for seed in range(200):
+        X, _ = random_spatial_preorder(seed)
+        assert canonical(functor_F_obj(X))
 
 
 def test_four_point_count_matches_preorder_count():
