@@ -361,22 +361,17 @@ def _expect_int_list(obj, key: str) -> list[int]:
     return val
 
 
-def _expect_triples(obj, key: str) -> list[list[int]]:
-    val = obj.get(key)
-    if not (
-        isinstance(val, list)
-        and _all_of(val, list)
-        and set(map(len, val)) <= {3}
-        and _all_of(chain.from_iterable(val), int)
-    ):
-        raise FormatError(f'"{key}" must be a list of [int, int, int] triples')
-    return val
-
-
 def _expect_table(obj, key: str) -> dict[tuple[int, int], int]:
     """Read ``[x, y, value]`` rows into a dict; a repeated ``[x, y]`` key is
     a :class:`FormatError`."""
-    rows = _expect_triples(obj, key)
+    rows = obj.get(key)
+    if not (
+        isinstance(rows, list)
+        and _all_of(rows, list)
+        and set(map(len, rows)) <= {3}
+        and _all_of(chain.from_iterable(rows), int)
+    ):
+        raise FormatError(f'"{key}" must be a list of [int, int, int] triples')
     table = {(x, y): t for x, y, t in rows}
     if len(table) != len(rows):
         seen = set()

@@ -1,12 +1,13 @@
 """The two conversions between finite topologies and spatial carriers.
 
 ``functor_G_obj`` turns a topology into the carrier of (open set, point)
-pairs.  It builds only the neighborhood part of that carrier; the
-refinement table ``d`` is built, and validated, on the first read of
-``gi.X``, and the spatial witness on the first read of ``gi.w``.  Neither
-round trip nor ``functor_G_mor`` reads them.  ``_check_meet_table`` bounds
-the witness from the topology alone, so ``from-top`` refuses the 10- to
-14-point discrete topologies before their opens are compared pairwise.
+pairs.  Its G-image is that carrier's neighborhood part, with the topology
+kept beside it; the refinement table ``d`` is built, and validated, on the
+first read of ``gi.X``, and the spatial witness on the first read of
+``gi.w``.  Neither round trip nor ``functor_G_mor`` reads them.
+``_check_meet_table`` bounds the witness from the topology alone, so
+``from-top`` refuses the 10- to 14-point discrete topologies before their
+opens are compared pairwise.
 ``functor_F_obj`` turns a spatial carrier back into a topology by
 closing the neighborhood sets under unions, and ``functor_F_obj_brute`` is an
 independent oracle for it that tests every point subset.  Both round trips
@@ -79,46 +80,45 @@ def _check_meet_table(T: FiniteTopology) -> None:
 
 
 @dataclass(frozen=True)
-class GImage:
-    """Carrier built from the topology ``T``: its neighborhood part ``N``,
+class GImage(FinNeighborhoods):
+    """The neighborhood part of the carrier built from the topology ``T``,
     with the full carrier ``X`` and the witness ``w`` built on first read.
 
-    Element ``a`` is the (open-set bitset, point) pair ``(N.R[a], N.p[a])``;
+    Element ``a`` is the (open-set bitset, point) pair ``(R[a], p[a])``;
     elements are sorted by pair, so :meth:`element` finds each from its pair.
-    The round trips and :func:`functor_G_mor` read only ``N``.
+    The round trips and :func:`functor_G_mor` read only the neighborhood part.
     """
 
-    N: FinNeighborhoods
     T: FiniteTopology
 
     def element(self, u: int, y: int) -> int:
         """The element ``(u, y)``, for ``y`` in the open set ``u``: the first
         element over ``u`` plus the number of points of ``u`` below ``y``."""
-        return bisect_left(self.N.R, u) + (u & ((1 << y) - 1)).bit_count()
+        return bisect_left(self.R, u) + (u & ((1 << y) - 1)).bit_count()
 
     @cached_property
     def X(self) -> FinFibrousPreorder:
         """The carrier with its refinement table: the refinement of
         ``((U, x), y)`` is ``(U, y)``.  Validated on construction."""
-        N = self.N
+        R = self.R
         # the elements over an open set are consecutive; first[U] is where
         # they start, in place of a bisect per element
         first = {}
-        for i, u in enumerate(N.R):
+        for i, u in enumerate(R):
             first.setdefault(u, i)
-        d = {(i, y): t for i, u in enumerate(N.R) for t, y in enumerate(bits(u), first[u])}
-        return FinFibrousPreorder(N.nB, N.nA, N.p, N.R, d)
+        d = {(i, y): t for i, u in enumerate(R) for t, y in enumerate(bits(u), first[u])}
+        return FinFibrousPreorder(self.nB, self.nA, self.p, R, d)
 
     @cached_property
     def w(self) -> SpatialWitness:
         """The section picks ``(full set, x)`` and the meet of ``(U, x)`` and
         ``(V, x)`` is ``(U & V, x)``, looked up among the fiber of ``x``."""
         _check_meet_table(self.T)
-        R, fibers = self.N.R, self.N.fibers
-        full = full_mask(self.T.nB)
-        s = tuple(self.element(full, x) for x in range(self.T.nB))
+        R = self.R
+        full = full_mask(self.nB)
+        s = tuple(self.element(full, x) for x in range(self.nB))
         m = {}
-        for fiber in fibers:
+        for fiber in self.fibers:
             at = {R[i]: i for i in fiber}
             for i in fiber:
                 for j in fiber:
@@ -130,10 +130,10 @@ def functor_G_obj(T: FiniteTopology) -> GImage:
     """Build the carrier of all (open set, member point) pairs of ``T``.
 
     Elements are ordered by (open set as integer, point).  Only the
-    neighborhood part :attr:`GImage.N` is built here; the refinement table
-    is :attr:`GImage.X` and the witness :attr:`GImage.w`.  The size bound is
-    tested before the quadratic topology check, which raises
-    :class:`NotATopologyError`.
+    neighborhood part is built here, as the :class:`GImage` itself; the
+    refinement table is :attr:`GImage.X` and the witness :attr:`GImage.w`.
+    The size bound is tested before the quadratic topology check, which
+    raises :class:`NotATopologyError`.
     """
     # d has at most one entry per element and point, and bounds p and R
     size = sum(map(int.bit_count, T.opens)) * T.nB
@@ -150,7 +150,7 @@ def functor_G_obj(T: FiniteTopology) -> GImage:
         pts = bits(u)
         p += pts
         R += [u] * len(pts)
-    return GImage(FinNeighborhoods(T.nB, len(p), p, R), T)
+    return GImage(T.nB, len(p), p, R, T)
 
 
 def functor_G_mor(f, gi: GImage, gip: GImage) -> FibrousMorphism:
@@ -169,7 +169,7 @@ def functor_G_mor(f, gi: GImage, gip: GImage) -> FibrousMorphism:
     for up, u in pre.items():
         if u not in opens:
             raise NotContinuousError(to_points(up))
-    fibers, R = gip.N.fibers, gip.N.R
+    fibers, R = gip.fibers, gip.R
     fstar = {(i, y): gi.element(pre[R[i]], y) for y in range(T.nB) for i in fibers[f[y]]}
     return FibrousMorphism(f, fstar)
 
@@ -199,7 +199,7 @@ def functor_F_obj_brute(X: FinNeighborhoods) -> FiniteTopology:
 def roundtrip_FG(T: FiniteTopology) -> AxiomReport:
     """Assert that converting ``T`` to a carrier and back reproduces it exactly."""
     gi = functor_G_obj(T)
-    back = functor_F_obj(gi.N)
+    back = functor_F_obj(gi)
     col = Collector()
     if back.opens != T.opens:
         got, want = set(back.opens), set(T.opens)
@@ -224,11 +224,11 @@ def roundtrip_GF(X: FinFibrousPreorder) -> EquivalenceWitness:
             )
     gbar = functor_G_obj(functor_F_obj(X))
     phi = tuple(map(gbar.element, X.R, X.p))
-    gamma = _cover(gbar.N, X)
+    gamma = _cover(gbar, X)
     if gamma is None:
         raise StructureError("no element fits an open set; input violates F1-F6")
     witness = EquivalenceWitness(phi, gamma)
-    rep = verify_equivalence(X, gbar.N, witness)
+    rep = verify_equivalence(X, gbar, witness)
     if not rep.passed:
         first = violation_line(*rep.violations[0])
         raise StructureError(f"round-trip witness failed verification: {first}")

@@ -96,18 +96,15 @@ def sample_check(
         if not rel(a, xa):
             col.add("F2", {"seed": seed, "round": rnd, "a": a})
         else:
-            pairs = [(a, xa)]
-            if y is not xa and y != xa and rel(a, y):
-                pairs.append((a, y))
-            for src, tgt in pairs:
-                b = delta(src, tgt)
+            for tgt in (xa, y) if y is not xa and y != xa and rel(a, y) else (xa,):
+                b = delta(a, tgt)
                 pb = proj(b)
                 if pb is not tgt and pb != tgt:
-                    col.add("F1", {"seed": seed, "round": rnd, "a": src, "y": tgt, "delta": b})
-                if rel(b, z) and not rel(src, z):
+                    col.add("F1", {"seed": seed, "round": rnd, "a": a, "y": tgt, "delta": b})
+                if rel(b, z) and not rel(a, z):
                     col.add(
                         "F3",
-                        {"seed": seed, "round": rnd, "a": src, "y": tgt, "delta": b, "z": z},
+                        {"seed": seed, "round": rnd, "a": a, "y": tgt, "delta": b, "z": z},
                     )
         u = unit(y)
         pu = proj(u)
@@ -185,20 +182,16 @@ def mk_indexed_family(
 
 
 @functools.cache
-def _q_rows(span: int, den: int, absolute: bool = False) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(
-        tuple(Fraction(abs(num) if absolute else num, d) for d in range(1, den + 1))
-        for num in range(-span, span + 1)
-    )
-
-
 def _q_draw(span: int, den: int, absolute: bool = False) -> Callable[[Random], Fraction]:
     """Draw function for ``Fraction(randint(-span, span), randint(1, den))``
     (its absolute value with ``absolute``), numerator first, read from a
-    table built once: row ``num + span`` holds ``num/1 .. num/den``, so the
-    two :func:`_below` indices consume the bits the two ``randint`` calls
-    would."""
-    rows = _q_rows(span, den, absolute)
+    table built once per argument set: row ``num + span`` holds ``num/1 ..
+    num/den``, so the two :func:`_below` indices consume the bits the two
+    ``randint`` calls would."""
+    rows = tuple(
+        tuple(Fraction(abs(num) if absolute else num, d) for d in range(1, den + 1))
+        for num in range(-span, span + 1)
+    )
     n_rows = len(rows)
 
     def draw(rng: Random) -> Fraction:

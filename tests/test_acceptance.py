@@ -13,6 +13,9 @@ from dataclasses import replace
 from itertools import product
 
 from fibrous import (
+    FinFibrousPreorder,
+    FinNeighborhoods,
+    SpatialWitness,
     broken_metric_q,
     broken_padic,
     check_axioms,
@@ -287,4 +290,88 @@ def test_criterion_8_equivalence_search_soundness():
     print(
         f"\nACCEPTANCE C8 PASS: identity witnesses on {checked} instances,"
         f" {absent} discrete/indiscrete absences confirmed"
+    )
+
+
+def _spatial_by_definition(n, L):
+    """The direct F3/F4/F6 test on a label set ``L`` of ``(U, x)`` pairs:
+    each label's open set holds, around each of its points, a label inside
+    it (F3); each point has a label (F4); and each two labels at one point
+    hold a label inside both (F6)."""
+    at = defaultdict(list)
+    for u, x in L:
+        at[x].append(u)
+
+    def inside(y, S):
+        return any(not v & ~S for v in at[y])
+
+    return (
+        all(inside(y, u) for u, _ in L for y in bits(u))
+        and all(at[x] for x in range(n))
+        and all(inside(x, u & v) for x in at for u in at[x] for v in at[x])
+    )
+
+
+def _carrier_of_labels(n, elems):
+    """The carrier whose element ``a`` carries the label ``elems[a]``, with
+    every refinement, section and meet the least element that fits."""
+    N = FinNeighborhoods(n, len(elems), [x for _, x in elems], [u for u, _ in elems])
+    R, least = N.R, N.least_within
+    d = {(a, y): least(y, u) for a, u in enumerate(R) for y in bits(u)}
+    s = tuple(least(x, (1 << n) - 1) for x in range(n))
+    m = {(i, j): least(x, R[i] & R[j]) for x, fiber in enumerate(N.fibers)
+         for i in fiber for j in fiber}
+    return FinFibrousPreorder(n, N.nA, N.p, R, d), SpatialWitness(s, m)
+
+
+def _check_spatial_carrier(X, w, T):
+    assert check_axioms(X, w).passed
+    wit = roundtrip_GF(X)
+    assert verify_equivalence(X, functor_G_obj(T), wit).passed
+    assert find_umap(X)[1] == specialization(T)[0]
+
+
+def test_criterion_11_every_spatial_carrier_on_three_points():
+    """Up to duplicate elements a finite carrier is its label set ``L`` of
+    ``(R[a], p[a])`` pairs, so walking every label set on up to 3 points
+    (4,096 at n=3) proves the gf direction there.  ``L`` is spatial exactly
+    when, at each point ``x``, it is an open neighborhood base of ``x`` in
+    ``F(L)``: one must hold the least open around ``x``, the other opens of
+    ``F(L)`` around ``x`` are free, so ``2^(k_x - 1)`` bases per point,
+    where ``k_x`` counts those opens."""
+    start = time.time()
+    rng = random.Random(11)
+    spatial = []
+    for n in range(4):
+        labels = [(u, x) for u in range(1 << n) for x in bits(u)]
+        assert len(labels) == n * 2 ** n // 2
+        found = defaultdict(int)
+        for chosen in range(1 << len(labels)):
+            L = [labels[i] for i in bits(chosen)]
+            if not _spatial_by_definition(n, L):
+                continue
+            X, w = _carrier_of_labels(n, L)
+            T = functor_F_obj(X)
+            found[T] += 1
+            _check_spatial_carrier(X, w, T)
+            # duplicates and element order change nothing
+            elems = L + rng.choices(L, k=rng.randint(0, 4) if L else 0)
+            rng.shuffle(elems)
+            X, w = _carrier_of_labels(n, elems)
+            assert functor_F_obj(X) == T
+            _check_spatial_carrier(X, w, T)
+        closed_form = {}
+        for T in enumerate_topologies(n):
+            count = 1
+            for x in range(n):
+                count <<= sum(u >> x & 1 for u in T.opens) - 1
+            closed_form[T] = count
+        assert found == closed_form
+        spatial.append(sum(found.values()))
+    assert spatial == [1, 1, 9, 1131]
+    elapsed = time.time() - start
+    assert elapsed < 10.0
+    print(
+        f"\nACCEPTANCE C11 PASS: {sum(spatial)} spatial label sets on 0-3 points"
+        f" {spatial}, closed-form counts, axioms+GF+umap exact, {elapsed:.2f}s"
     )

@@ -43,9 +43,9 @@ def test_g_on_one_point_space():
 def test_g_sierpinski_structure():
     gi = functor_G_obj(SIERPINSKI)
     assert gi.T == SIERPINSKI
-    # the record holds the neighborhood part and T; X and w are built on read
-    assert [f.name for f in fields(gi)] == ["N", "T"]
-    assert type(gi.N) is FinNeighborhoods
+    # the record is the neighborhood part plus T; X and w are built on read
+    assert [f.name for f in fields(gi)] == ["nB", "nA", "p", "R", "T"]
+    assert isinstance(gi, FinNeighborhoods) and not isinstance(gi, FinFibrousPreorder)
     assert [gi.element(u, x) for u, x in ((2, 1), (3, 0), (3, 1))] == [0, 1, 2]
     assert gi.X.p == (1, 0, 1)
     assert gi.X.R == (2, 3, 3)
@@ -139,7 +139,7 @@ def test_g_images_pass_axioms_on_all_small_topologies():
             index = {pair: a for a, pair in enumerate(pairs)}
             ref_d = {(i, y): index[(X.R[i], y)] for i in range(X.nA) for y in bits(X.R[i])}
             # the carrier built on first read equals an eager build, and is kept
-            eager = FinFibrousPreorder(T.nB, len(pairs), gi.N.p, gi.N.R, ref_d)
+            eager = FinFibrousPreorder(T.nB, len(pairs), gi.p, gi.R, ref_d)
             assert X == eager and list(X.d) == list(ref_d)
             assert gi.X is X
             ref = _g_witness_by_definition(gi, index)

@@ -1,18 +1,28 @@
-"""Pinned CLI outputs: one sha256 over the exit code and stdout of a fixed
-command set, run in-process through ``cli.main``.
+"""Pinned CLI outputs: the exit code and stdout of a fixed command set, run
+in-process through ``cli.main``, compared byte for byte with the committed
+corpus ``golden/cli_outputs.txt``.  Each record is the command and its exit
+code on one line, separated by a tab, then the command's stdout; ``PINNED``
+is the corpus's sha256.
 
-A change that must keep every output byte-identical keeps this digest.  A
-change that alters an output on purpose records the new digest and names the
-output in CHANGES.md.  The finite commands run on the G-images of every
-topology on 0-3 points and on seeded ``random_spatial_preorder`` carriers,
-each as given and with a few refinement, section, meet and lifting values
-replaced by other in-range elements, so every verifier reports violations
-as well as passes.
+A change that must keep every output byte-identical keeps the corpus.  A
+change that alters an output on purpose rewrites it with
+``PYTHONPATH=src python3 tests/golden/rewrite.py``, records the new digest
+and names the output in CHANGES.md; the corpus diff shows what moved.  The
+finite commands run on the G-images of every topology on 0-3 points and on
+seeded ``random_spatial_preorder`` carriers, each as given and with a few
+refinement, section, meet and lifting values replaced by other in-range
+elements, so every verifier reports violations as well as passes.
 """
 
+import contextlib
+import difflib
 import hashlib
+import io
 import json
+from pathlib import Path
 from random import Random
+
+import pytest
 
 from fibrous import (
     NotContinuousError,
@@ -27,6 +37,7 @@ from fibrous import (
 from fibrous.cli import main
 from fibrous.lazy import INSTANCE_NAMES, MODULUS_NAMES
 
+CORPUS = Path(__file__).resolve().parent / "golden" / "cli_outputs.txt"
 PINNED = "6eada848426bf7b3760c1c5862df88d6e93f8fcc63e1a46328481abf3405b137"
 
 RANDOM_SEEDS = range(40)
@@ -121,11 +132,36 @@ def _commands(tmp_path):
     return [[paths.get(arg, arg) for arg in cmd] for cmd in commands], commands
 
 
-def test_outputs_match_the_pinned_digest(tmp_path, capsys):
+def records(tmp_path):
+    """Yield the corpus record of each command: its line and exit code, then
+    its stdout."""
     argvs, labels = _commands(tmp_path)
-    digest = hashlib.sha256()
     for argv, label in zip(argvs, labels):
-        code = main(argv)
-        out = capsys.readouterr().out
-        digest.update(f"{' '.join(label)}\t{code}\n{out}".encode())
-    assert digest.hexdigest() == PINNED
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        yield f"{' '.join(label)}\t{code}\n", out.getvalue()
+
+
+def test_outputs_match_the_pinned_digest():
+    assert hashlib.sha256(CORPUS.read_bytes()).hexdigest() == PINNED
+
+
+def test_outputs_match_the_corpus(tmp_path):
+    want = CORPUS.read_bytes()
+    pos = 0
+    for head, out in records(tmp_path):
+        got = (head + out).encode()
+        if want[pos:pos + len(got)] != got:
+            # JSON stdout holds no raw tab, so the committed record ends
+            # where the next line holding one, the next command's, starts
+            command = head.split("\t")[0]
+            body = want.find(b"\n", pos) + 1 or len(want)
+            nxt = want.find(b"\t", body)
+            end = want.rfind(b"\n", pos, nxt) + 1 if nxt >= 0 else len(want)
+            old = want[pos:end].decode().splitlines(keepends=True)
+            diff = difflib.unified_diff(old, got.decode().splitlines(keepends=True),
+                                        "corpus", "now")
+            pytest.fail(f"first differing command: {command}\n{''.join(diff)}")
+        pos += len(got)
+    assert pos == len(want), "the corpus holds records past the last command"

@@ -259,7 +259,7 @@ def test_sorted_constructor_builds_only_canonical_topologies():
         assert all(map(canonical, enumerate_topologies(n)))
     for n in range(5):
         for T in enumerate_topologies(n):
-            back = functor_F_obj(functor_G_obj(T).N)
+            back = functor_F_obj(functor_G_obj(T))
             assert canonical(back) and back == T
     for seed in range(200):
         X, _ = random_spatial_preorder(seed)
