@@ -29,7 +29,7 @@ from fibrous import (
 from fibrous import functors
 from fibrous.bitsets import bits, is_subset
 from fibrous.functors import BRUTE_LIMIT, NotATopologyError, NotContinuousError
-from fibrous.report import StructureError
+from fibrous.report import AxiomReport, StructureError
 
 SIERPINSKI = FiniteTopology(2, (0, 2, 3))
 
@@ -147,6 +147,23 @@ def test_g_images_pass_axioms_on_all_small_topologies():
             assert gi.w == ref and list(gi.w.m) == list(ref.m)
             assert gi.w is gi.w
             assert check_axioms(gi.X, gi.w).passed
+
+
+def test_g_image_rows_pass_the_checked_constructor():
+    # functor_G_obj trusts its p and R rows; the checked constructor must
+    # accept every one of them unchanged, and gi.X must still validate
+    tops = [T for n in range(5) for T in enumerate_topologies(n)] + [discrete(7)]
+    tops += [functor_F_obj(random_spatial_preorder(seed)[0]) for seed in range(50)]
+    for T in tops:
+        gi = functor_G_obj(T)
+        assert type(gi.p) is tuple and type(gi.R) is tuple
+        N = FinNeighborhoods(gi.nB, gi.nA, gi.p, gi.R)
+        assert (N.nB, N.nA, N.p, N.R) == (gi.nB, gi.nA, gi.p, gi.R)
+        assert (gi.X.nB, gi.X.nA, gi.X.p, gi.X.R) == (gi.nB, gi.nA, gi.p, gi.R)
+    # rows that did not come from functor_G_obj are still refused by gi.X
+    bad = functors.GImage(2, 1, (0,), (0b100,), SIERPINSKI)
+    with pytest.raises(StructureError, match=r"R\[0\] has bits outside the base set"):
+        bad.X
 
 
 def test_round_trips_never_build_a_witness(monkeypatch):
@@ -325,6 +342,21 @@ def test_roundtrip_fg_names_missing_and_extra_opens(
     monkeypatch.setattr(functors, "functor_F_obj", lossy_f)
     rep = roundtrip_FG(chain)
     assert rep.violations == (("FG", {"missing": missing, "extra": extra}),)
+
+
+def test_a_passing_fg_report_keeps_no_state_from_a_failing_one(monkeypatch):
+    chain = FiniteTopology(3, (0b000, 0b001, 0b011, 0b111))
+    true_f = functors.functor_F_obj
+    monkeypatch.setattr(
+        functors, "functor_F_obj",
+        lambda X: FiniteTopology._sorted(X.nB, true_f(X).opens[:-1]),
+    )
+    assert not roundtrip_FG(chain).passed
+    monkeypatch.undo()
+    for T in (chain, SIERPINSKI, chain):
+        rep = roundtrip_FG(T)
+        assert rep == AxiomReport() and rep.passed
+        assert rep.to_json() == {"passed": True, "violations": []}
 
 
 def test_roundtrip_gf_one_point():
