@@ -8,18 +8,18 @@ at 1 so that the unit element exists and meets can multiply indices.
 
 from __future__ import annotations
 
-import bisect
 import functools
+import math
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import repeat
 from random import Random
 from typing import Callable, Iterator
 
 from .report import AxiomReport, Collector
 
 _MAX_INDEX = 4  # sampled indices, and the normed check's n and n2, lie in 1..4
+_INDEX_BITS = _MAX_INDEX.bit_length()
 
 
 def _below(getrandbits: Callable[[int], int], n: int) -> int:
@@ -30,7 +30,14 @@ def _below(getrandbits: Callable[[int], int], n: int) -> int:
     len(seq))]`` draws what ``rng.choice(seq)`` draws and ``a +
     _below(getrandbits, b - a + 1)`` what ``rng.randint(a, b)`` draws, from
     the same bits, so every shipped sampler replays from the ``getrandbits``
-    stream alone."""
+    stream alone.
+
+    The hot samplers (the :func:`_q_draw` tables, the index draw of
+    :func:`mk_indexed_family` and the padic and cantor draws) apply this rule
+    inline, with the bit length computed once per sampler, so that a drawn
+    value costs no extra call; they take the same ``getrandbits(k)`` calls
+    in the same order.  ``test_samplers_draw_what_their_stdlib_form_draws``
+    checks each of them against its ``choice``/``randint`` form."""
     k = n.bit_length()
     r = getrandbits(k)
     while r >= n:
@@ -167,7 +174,10 @@ def mk_indexed_family(
         rng = Random(seed)
         getrandbits = rng.getrandbits
         while True:
-            yield (1 + _below(getrandbits, _MAX_INDEX), draw_point(rng))
+            i = getrandbits(_INDEX_BITS)  # _below(getrandbits, _MAX_INDEX), inline
+            while i >= _MAX_INDEX:
+                i = getrandbits(_INDEX_BITS)
+            yield (1 + i, draw_point(rng))
 
     return NeighborhoodOracle(
         name=name,
@@ -186,17 +196,25 @@ def _q_draw(span: int, den: int, absolute: bool = False) -> Callable[[Random], F
     """Draw function for ``Fraction(randint(-span, span), randint(1, den))``
     (its absolute value with ``absolute``), numerator first, read from a
     table built once per argument set: row ``num + span`` holds ``num/1 ..
-    num/den``, so the two :func:`_below` indices consume the bits the two
+    num/den``.  The row and then the column index are drawn by
+    :func:`_below`'s rule, applied inline, so they consume the bits the two
     ``randint`` calls would."""
     rows = tuple(
         tuple(Fraction(abs(num) if absolute else num, d) for d in range(1, den + 1))
         for num in range(-span, span + 1)
     )
     n_rows = len(rows)
+    row_bits, col_bits = n_rows.bit_length(), den.bit_length()
 
     def draw(rng: Random) -> Fraction:
         getrandbits = rng.getrandbits
-        return rows[_below(getrandbits, n_rows)][_below(getrandbits, den)]
+        r = getrandbits(row_bits)
+        while r >= n_rows:
+            r = getrandbits(row_bits)
+        c = getrandbits(col_bits)
+        while c >= den:
+            c = getrandbits(col_bits)
+        return rows[r][c]
 
     return draw
 
@@ -327,6 +345,11 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+# padic points are drawn uniformly from -10**4..10**4
+_PADIC_SPAN = 2 * 10**4 + 1
+_PADIC_BITS = _PADIC_SPAN.bit_length()
+
+
 def mk_padic(p: int) -> NeighborhoodOracle:
     """Congruence-modulo-``p**n`` neighborhoods on the integers.
 
@@ -343,13 +366,15 @@ def mk_padic(p: int) -> NeighborhoodOracle:
     def refine(n, x, y):
         return n
 
-    return mk_indexed_family(
-        f"padic:{p}",
-        relates,
-        refine,
-        lambda rng: _below(rng.getrandbits, 2 * 10**4 + 1) - 10**4,
-        op=operator.add,
-    )
+    def draw(rng):
+        # _below(getrandbits, _PADIC_SPAN), inline
+        getrandbits = rng.getrandbits
+        r = getrandbits(_PADIC_BITS)
+        while r >= _PADIC_SPAN:
+            r = getrandbits(_PADIC_BITS)
+        return r - 10**4
+
+    return mk_indexed_family(f"padic:{p}", relates, refine, draw, op=operator.add)
 
 
 def broken_padic(p: int) -> NeighborhoodOracle:
@@ -451,11 +476,17 @@ def mk_cantor() -> NeighborhoodOracle:
 
     def draw(rng):
         # a preperiod of 0-4 letters, then a period of 1-4, each length
-        # followed by its letters as one code (getrandbits(0) is 0)
+        # followed by its letters as one code (getrandbits(0) is 0); both
+        # lengths are drawn by _below's rule, inline, on 3 bits
         getrandbits = rng.getrandbits
-        n_pre = _below(getrandbits, 5)
+        n_pre = getrandbits(3)
+        while n_pre >= 5:
+            n_pre = getrandbits(3)
         pre_code = getrandbits(n_pre)
-        n_per = 1 + _below(getrandbits, 4)
+        n_per = getrandbits(3)
+        while n_per >= 4:
+            n_per = getrandbits(3)
+        n_per += 1
         return _coded_word(n_pre, pre_code, n_per, getrandbits(n_per))
 
     return mk_indexed_family("cantor", relates, refine, draw)
@@ -465,19 +496,46 @@ def mk_cantor() -> NeighborhoodOracle:
 # the half-plane with disk-tangent boundary neighborhoods
 
 def _min_shrink(n: int, D: tuple[int, int], scale: int) -> int:
-    # least k with scale/k < 1/n and (1/n - scale/k)^2 > D, where
-    # 1/n - scale/k = (k - scale*n) / (n*k) is positive from lo on
+    """Least ``k`` with ``scale/k < 1/n`` and ``(1/n - scale/k)**2 > D``, for
+    ``D = d_num/d_den`` with ``0 <= D < 1/n**2``.
+
+    That is ``k > scale*n / (1 - sqrt(D*n**2))``.  The float value of this
+    bound only places the search: the exact integer test ``fits`` decides,
+    by galloping from the estimate to a bracket either side of the answer
+    and bisecting it, so rounding never changes the result."""
     d_num, d_den = D
+    base = scale * n  # 1/n - scale/k = (k - base) / (n*k) is positive above base
+    nn = n * n
 
     def fits(k):
-        gap = k - scale * n
-        return gap * gap * d_den > d_num * (n * k) ** 2
+        gap = k - base
+        return gap * gap * d_den > d_num * nn * k * k
 
-    lo = scale * n + 1
-    hi = lo
-    while not fits(hi):
-        hi *= 2
-    return lo + bisect.bisect_left(range(lo, hi + 1), True, key=fits)
+    try:
+        k = int(base / (1 - math.sqrt(d_num * nn / d_den))) + 1
+    except (ZeroDivisionError, OverflowError):  # 1 - sqrt rounds to 0, or n is past floats
+        k = base + 1
+    k = max(k, base + 1)
+    # bracket the answer in (lo, hi], with fits(hi) and not fits(lo);
+    # base itself never fits, since its gap is 0
+    step = 1
+    if fits(k):
+        hi, lo = k, k - 1
+        while lo > base and fits(lo):
+            hi, step = lo, 2 * step
+            lo = max(k - step, base)
+    else:
+        lo, hi = k, k + 1
+        while not fits(hi):
+            lo, step = hi, 2 * step
+            hi = k + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 _ZERO = Fraction(0)
@@ -503,20 +561,23 @@ def mk_tangent_disk(strict_paper: bool = False) -> NeighborhoodOracle:
     def dist2(n, c, w):
         # squared distance from w to the center of the radius-1/n ball at c
         # (c itself, or (c[0], 1/n) for the tangent ball) as an unreduced
-        # pair; None when w is the axis point c, which the tangent ball omits
+        # pair; None exactly when w == c, in both modes (the tangent ball
+        # omits the axis point c, so the relation adds it back)
         wy, wyd = w[1].as_integer_ratio()
         if wy < 0:
             raise ValueError("point below the horizontal axis")
         cx, cxd = c[0].as_integer_ratio()
         wx, wxd = w[0].as_integer_ratio()
         cy, cyd = c[1].as_integer_ratio()
+        dx, dxd = cx * wxd - wx * cxd, cxd * wxd
         if cy > 0 or strict_paper:
             dy, dyd = cy * wyd - wy * cyd, cyd * wyd
-        else:
-            if wy == cy and wyd == cyd and wx == cx and wxd == cxd:
+            if not (dx or dy):
                 return None
+        elif not dx and wy == cy:  # wy >= 0 >= cy, so both are 0
+            return None
+        else:
             dy, dyd = wyd - n * wy, n * wyd
-        dx, dxd = cx * wxd - wx * cxd, cxd * wxd
         dxd *= dxd
         dyd *= dyd
         return dx * dx * dyd + dy * dy * dxd, dxd * dyd
@@ -527,10 +588,10 @@ def mk_tangent_disk(strict_paper: bool = False) -> NeighborhoodOracle:
 
     def refine(n, c, w):
         d = dist2(n, c, w)
-        if d is not None and d[0] * n * n >= d[1]:
-            raise ValueError("delta is only defined on related pairs")
-        if w == c:
+        if d is None:
             return n
+        if d[0] * n * n >= d[1]:
+            raise ValueError("delta is only defined on related pairs")
         # w lies strictly inside the ball whose center dist2 measures
         scale = 2 if c[1].numerator > 0 and w[1].numerator == 0 else 1
         return _min_shrink(n, d, scale)
@@ -591,12 +652,18 @@ def normed_q_group(dim: int) -> NormedGroup:
     if dim > MAX_DIM:
         raise ValueError(f"dimension {dim} is above the limit of {MAX_DIM}")
     draw_q = _q_draw(24, 8) if dim == 1 else _q_draw(8, 4)
+    if dim == 2:
+        def draw_point(rng):
+            return (draw_q(rng), draw_q(rng))
+    else:
+        def draw_point(rng):
+            return tuple([draw_q(rng) for _ in range(dim)])
     return NormedGroup(
         zero=(_ZERO,) * dim,
         add=lambda x, y: tuple(map(operator.add, x, y)),
         within=_in_max_ball,
         step=lambda x, y: _norm_index(*_max_distance(x, y)),
-        draw_point=lambda rng: tuple(map(draw_q, repeat(rng, dim))),
+        draw_point=draw_point,
     )
 
 

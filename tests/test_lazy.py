@@ -42,6 +42,7 @@ from fibrous.lazy import (
     check_normed_conditions,
     normed_q_group,
 )
+import fibrous.lazy as lazy
 from test_words import first_letters
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -837,6 +838,37 @@ def test_ball_index_matches_reference_and_ignores_scaling():
     assert _ball_index(4, 0, 1) == 5
 
 
+def bisect_min_shrink(n, D, scale):
+    # the search _min_shrink used before its closed-form start: double up
+    # from scale*n + 1 until k fits, then bisect (by hand, so that no range
+    # length limits it)
+    d_num, d_den = D
+
+    def fits(k):
+        gap = k - scale * n
+        return gap * gap * d_den > d_num * (n * k) ** 2
+
+    lo = scale * n + 1
+    hi = lo
+    while not fits(hi):
+        hi *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def is_least_shrink(n, D, scale, k):
+    def ok(k):
+        gap = F(1, n) - F(scale, k)
+        return gap > 0 and gap * gap > D
+
+    return ok(k) and not ok(k - 1)
+
+
 def test_min_shrink_matches_reference():
     rng = Random(6)
     for _ in range(300):
@@ -847,6 +879,99 @@ def test_min_shrink_matches_reference():
         assert _min_shrink(n, (D.numerator * c, D.denominator * c), scale) == ref_min_shrink(
             n, D, scale
         ), (n, D, scale)
+    # the closed form's hard cases: D = 0, D so close to 1/n**2 that
+    # 1 - sqrt(D*n**2) rounds to 0 in floats, and 100-200-bit integers
+    # with a common factor; answers past 2**64 are checked on the exact
+    # least-k property alone
+    cases = []
+    for n in (*range(1, MAX_INDEX + 1), 10**3, 10**30, 10**400):
+        for scale in (1, 2):
+            assert _min_shrink(n, (0, 1), scale) == scale * n + 1
+            assert _min_shrink(n, (0, 7**60), scale) == scale * n + 1
+        if n > MAX_INDEX:
+            continue
+        for eps in (F(1, 10**12), F(1, 10**17), F(1, 2**200)):
+            cases += [(n, F(1, n * n) - eps, scale) for scale in (1, 2)]
+    for _ in range(60):
+        n = rng.randint(1, MAX_INDEX)
+        den = rng.getrandbits(rng.randint(100, 200)) | 1 << 99
+        cases.append((n, F(rng.randrange(den // (n * n)), den), rng.choice((1, 2))))
+    for n, D, scale in cases:
+        c = rng.getrandbits(rng.randint(100, 200)) | 1
+        k = _min_shrink(n, (D.numerator * c, D.denominator * c), scale)
+        assert is_least_shrink(n, D, scale, k), (n, D, scale)
+        if k < 2**64:
+            assert k == bisect_min_shrink(n, (D.numerator, D.denominator), scale), (n, D, scale)
+
+
+def test_min_shrink_matches_the_bisect_search():
+    rng = Random(16)
+    for _ in range(10**5):
+        n = rng.randint(1, 10 ** rng.randint(0, 3))
+        scale = rng.choice((1, 2))
+        den = rng.getrandbits(rng.choice((8, 30, 64, 120))) + 1
+        num = rng.randrange(-(-den // (n * n)))  # so D lies below 1/n**2
+        c = rng.randint(1, 2 ** rng.randint(0, 60))
+        D = (num * c, den * c)
+        assert _min_shrink(n, D, scale) == bisect_min_shrink(n, D, scale), (n, D, scale)
+
+
+# the half-plane grid of the refinement tests, on the axis and off it
+TANGENT_GRID = [
+    (F(x), F(y)) for x in (-1, F(-1, 3), 0, F(1, 4), F(1, 2)) for y in (0, F(1, 8), F(1, 4), F(1, 2), 1)
+]
+
+
+@pytest.mark.parametrize("strict", (False, True))
+def test_tangent_refinement_matches_reference_on_a_grid(strict):
+    ref_rel, ref_refine = ref_tangent(strict)
+    oracle = mk_tangent_disk(strict)
+    related = 0
+    for c, (wx, wy) in product(TANGENT_GRID, repeat=2):
+        w = (F(2 * wx.numerator, 2 * wx.denominator), F(3 * wy.numerator, 3 * wy.denominator))
+        for n in range(1, 6):
+            expected = ref_rel(n, c, w)
+            assert oracle.rel((n, c), w) == expected, (n, c, w)
+            if expected:
+                related += 1
+                assert oracle.delta((n, c), w) == (ref_refine(n, c, w), w), (n, c, w)
+            else:
+                with pytest.raises(ValueError):
+                    oracle.delta((n, c), w)
+    assert related >= 300
+
+
+def test_tangent_refinement_keeps_the_index_at_its_own_point(monkeypatch):
+    def no_shrink(*args):
+        raise AssertionError("w == c must not reach _min_shrink")
+
+    monkeypatch.setattr(lazy, "_min_shrink", no_shrink)
+    for strict in (False, True):
+        oracle = mk_tangent_disk(strict)
+        for c, w in [((F(1, 2), F(0)), (F(2, 4), F(0, 3))), ((F(1, 2), F(1, 3)), (F(2, 4), F(2, 6)))]:
+            assert w == c and w[0] is not c[0]
+            for n in range(1, MAX_INDEX + 1):
+                assert oracle.rel((n, c), w)
+                assert oracle.delta((n, c), w) == (n, w)
+
+
+def test_tangent_ball_center_is_refined_by_min_shrink(monkeypatch):
+    # the center (c[0], 1/n) of the tangent ball at the axis point c is not
+    # c, though it lies at distance 0 from that center
+    calls = []
+
+    def shrink(n, D, scale):
+        calls.append((n, D[0], scale))
+        return _min_shrink(n, D, scale)
+
+    monkeypatch.setattr(lazy, "_min_shrink", shrink)
+    oracle = mk_tangent_disk()
+    c = (F(1, 3), F(0))
+    for n in range(1, MAX_INDEX + 1):
+        w = (F(1, 3), F(1, n))
+        assert oracle.rel((n, c), w)
+        assert oracle.delta((n, c), w) == (n + 1, w) == (ref_tangent(False)[1](n, c, w), w)
+        assert calls[-1] == (n, 0, 1)
 
 
 def test_norm_step_index_matches_reference():
@@ -863,10 +988,14 @@ def test_norm_step_index_matches_reference():
 
 # -- the draw kernel and the shipped samplers against the standard library ---
 #
-# Every shipped sampler draws through ``_below`` on ``rng.getrandbits``.  The
-# kernel must consume the same bits and return the same index as
-# ``rng.choice``, and each sampler must yield what its plain ``choice`` /
-# ``randint`` / ``random`` form below yields, equal in value and in type.
+# Every shipped sampler draws by ``_below``'s rule on ``rng.getrandbits``: the
+# hot ones (the ``_q_draw`` tables, the index draw, the padic and cantor
+# draws) apply it inline, the rest call ``_below``.  The kernel must consume
+# the same bits and return the same index as ``rng.choice``, and each sampler
+# must yield what its plain ``choice`` / ``randint`` / ``random`` form below
+# yields, equal in value and in type;
+# ``test_samplers_draw_what_their_stdlib_form_draws`` is the check of the
+# inline draws.
 
 KERNEL_BOUNDS = sorted(
     {*range(1, 71), *(2**j + e for j in range(1, 41) for e in (-1, 0, 1)), 20_001, 2**70 + 3}
@@ -976,6 +1105,18 @@ def test_samplers_draw_what_their_stdlib_form_draws(name):
             assert list(map(_typed, islice(ours, 2000))) == list(
                 map(_typed, islice(expected, 2000))
             ), (oracle.name, seed)
+
+
+def test_normed_points_of_other_dimensions_draw_their_stdlib_form():
+    # normed-q:1 and normed-q:2 are above; every other dimension draws its
+    # point through another branch
+    for dim in (3, 5):
+        draw = normed_q_group(dim).draw_point
+        for seed in range(3):
+            ours, theirs = Random(seed), Random(seed)
+            assert [_typed(draw(ours)) for _ in range(300)] == [
+                _typed(tuple(ref_q(theirs, 8, 4) for _ in range(dim))) for _ in range(300)
+            ], (dim, seed)
 
 
 # -- pinned draw streams and boundary decisions ------------------------------

@@ -60,6 +60,13 @@ VALUES = {
         "w": [Word((), (2,)), Pair(Color.RED, Name("q"))],
         Fraction(1, 2): {(1, 2): OrderedDict(k=[True, (None,)])},
     },
+    # the witness shapes the sampled checkers report
+    "broken-padic-3-F3": {"seed": 0, "round": 5, "a": (1, -7584), "y": -7584,
+                          "delta": (0, -7584), "z": 5986},
+    "metric-q-F6": {"seed": 42, "round": 17, "a": (2, Fraction(-3, 4)),
+                    "a2": (3, Fraction(-3, 4)), "meet": (6, Fraction(-3, 4)), "z": Fraction(1, 8)},
+    "cantor-F3": {"seed": 1, "round": 3, "a": (4, Word((2,), (0, 2))), "y": Word((), (2, 0)),
+                  "delta": (2, Word((), (2, 0))), "z": Word((0, 0), (2,))},
 }
 
 
