@@ -9,7 +9,6 @@ at 1 so that the unit element exists and meets can multiply indices.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -32,11 +31,10 @@ def _below(getrandbits: Callable[[int], int], n: int) -> int:
     the same bits, so every shipped sampler replays from the ``getrandbits``
     stream alone.
 
-    The hot samplers (the :func:`_q_draw` tables, the index draw of
-    :func:`mk_indexed_family` and the padic and cantor draws) apply this rule
-    inline, with the bit length computed once per sampler, so that a drawn
-    value costs no extra call; they take the same ``getrandbits(k)`` calls
-    in the same order.  ``test_samplers_draw_what_their_stdlib_form_draws``
+    The hot samplers (the :func:`_q_draw` tables and the index draw of
+    :func:`mk_indexed_family`) apply this rule inline, with the bit length
+    computed once per sampler, so that a drawn value costs no extra call;
+    they take the same ``getrandbits(k)`` calls in the same order.  ``test_samplers_draw_what_their_stdlib_form_draws``
     checks each of them against its ``choice``/``randint`` form."""
     k = n.bit_length()
     r = getrandbits(k)
@@ -345,11 +343,6 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-# padic points are drawn uniformly from -10**4..10**4
-_PADIC_SPAN = 2 * 10**4 + 1
-_PADIC_BITS = _PADIC_SPAN.bit_length()
-
-
 def mk_padic(p: int) -> NeighborhoodOracle:
     """Congruence-modulo-``p**n`` neighborhoods on the integers.
 
@@ -366,15 +359,13 @@ def mk_padic(p: int) -> NeighborhoodOracle:
     def refine(n, x, y):
         return n
 
-    def draw(rng):
-        # _below(getrandbits, _PADIC_SPAN), inline
-        getrandbits = rng.getrandbits
-        r = getrandbits(_PADIC_BITS)
-        while r >= _PADIC_SPAN:
-            r = getrandbits(_PADIC_BITS)
-        return r - 10**4
-
-    return mk_indexed_family(f"padic:{p}", relates, refine, draw, op=operator.add)
+    return mk_indexed_family(
+        f"padic:{p}",
+        relates,
+        refine,
+        lambda rng: _below(rng.getrandbits, 2 * 10**4 + 1) - 10**4,
+        op=operator.add,
+    )
 
 
 def broken_padic(p: int) -> NeighborhoodOracle:
@@ -476,17 +467,11 @@ def mk_cantor() -> NeighborhoodOracle:
 
     def draw(rng):
         # a preperiod of 0-4 letters, then a period of 1-4, each length
-        # followed by its letters as one code (getrandbits(0) is 0); both
-        # lengths are drawn by _below's rule, inline, on 3 bits
+        # followed by its letters as one code (getrandbits(0) is 0)
         getrandbits = rng.getrandbits
-        n_pre = getrandbits(3)
-        while n_pre >= 5:
-            n_pre = getrandbits(3)
+        n_pre = _below(getrandbits, 5)
         pre_code = getrandbits(n_pre)
-        n_per = getrandbits(3)
-        while n_per >= 4:
-            n_per = getrandbits(3)
-        n_per += 1
+        n_per = 1 + _below(getrandbits, 4)
         return _coded_word(n_pre, pre_code, n_per, getrandbits(n_per))
 
     return mk_indexed_family("cantor", relates, refine, draw)
@@ -496,46 +481,26 @@ def mk_cantor() -> NeighborhoodOracle:
 # the half-plane with disk-tangent boundary neighborhoods
 
 def _min_shrink(n: int, D: tuple[int, int], scale: int) -> int:
-    """Least ``k`` with ``scale/k < 1/n`` and ``(1/n - scale/k)**2 > D``, for
-    ``D = d_num/d_den`` with ``0 <= D < 1/n**2``.
-
-    That is ``k > scale*n / (1 - sqrt(D*n**2))``.  The float value of this
-    bound only places the search: the exact integer test ``fits`` decides,
-    by galloping from the estimate to a bracket either side of the answer
-    and bisecting it, so rounding never changes the result."""
+    # least k with scale/k < 1/n and (1/n - scale/k)^2 > D, where
+    # 1/n - scale/k = (k - scale*n) / (n*k) is positive from lo on; the
+    # bisection is written out so that no range length bounds the answer
     d_num, d_den = D
-    base = scale * n  # 1/n - scale/k = (k - base) / (n*k) is positive above base
-    nn = n * n
 
     def fits(k):
-        gap = k - base
-        return gap * gap * d_den > d_num * nn * k * k
+        gap = k - scale * n
+        return gap * gap * d_den > d_num * (n * k) ** 2
 
-    try:
-        k = int(base / (1 - math.sqrt(d_num * nn / d_den))) + 1
-    except (ZeroDivisionError, OverflowError):  # 1 - sqrt rounds to 0, or n is past floats
-        k = base + 1
-    k = max(k, base + 1)
-    # bracket the answer in (lo, hi], with fits(hi) and not fits(lo);
-    # base itself never fits, since its gap is 0
-    step = 1
-    if fits(k):
-        hi, lo = k, k - 1
-        while lo > base and fits(lo):
-            hi, step = lo, 2 * step
-            lo = max(k - step, base)
-    else:
-        lo, hi = k, k + 1
-        while not fits(hi):
-            lo, step = hi, 2 * step
-            hi = k + step
-    while hi - lo > 1:
+    lo = scale * n + 1
+    hi = lo
+    while not fits(hi):
+        hi *= 2
+    while lo < hi:
         mid = (lo + hi) // 2
         if fits(mid):
             hi = mid
         else:
-            lo = mid
-    return hi
+            lo = mid + 1
+    return lo
 
 
 _ZERO = Fraction(0)

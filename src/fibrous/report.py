@@ -60,22 +60,11 @@ class Collector:
 def jsonable(value):
     """The witness formatter: Fractions become ``"p/q"``, tuples and lists
     become lists, dict keys strings, and any other object its ``repr``.
-
-    Values of exactly ``int``, ``str``, ``tuple``, ``list`` or ``dict``
-    type, the bulk of every witness, skip the ``isinstance`` chain, and
-    ``int`` items are kept without a call; subclasses such as ``bool``,
-    ``IntEnum``, namedtuples and ``OrderedDict`` take the chain."""
-    t = type(value)
-    if t is int or t is str or value is None:
-        return value
-    if t is tuple or t is list:
-        return [v if type(v) is int else jsonable(v) for v in value]
-    if t is dict:
-        return {str(k): v if type(v) is int else jsonable(v) for k, v in value.items()}
-    if isinstance(value, (int, str)):
+    ``int`` items of a tuple or list are kept without a call."""
+    if value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
+        return [v if type(v) is int else jsonable(v) for v in value]
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, Fraction):
