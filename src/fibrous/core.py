@@ -19,6 +19,16 @@ from .bitsets import bits, first_outside, from_points, to_points
 from .report import AxiomReport, Collector, FormatError, StructureError
 
 
+def built(cls, **fields):
+    """An instance of the dataclass ``cls`` holding ``fields``, made without
+    its checks.  Constructors called from outside check; the package's own
+    builders use this on values that already hold every invariant that
+    ``cls(**fields)`` checks, in the form it stores (tuples, not lists)."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class FinNeighborhoods:
     """The neighborhood part of a finite carrier, without its refinements:
@@ -305,6 +315,12 @@ def find_umap(
     return tuple(u), tuple(R[a] for a in u)
 
 
+def table_rows(table: dict[tuple[int, int], int]) -> list[list[int]]:
+    """The ``[x, y, value]`` rows of a pair-keyed table, in key order.  Only
+    the keys are sorted, so no (key, value) pair is built per row."""
+    return [[x, y, table[x, y]] for x, y in sorted(table)]
+
+
 def preorder_to_json(
     X: FinFibrousPreorder, w: SpatialWitness | None = None
 ) -> dict:
@@ -314,11 +330,11 @@ def preorder_to_json(
         "nA": X.nA,
         "p": list(X.p),
         "R": [to_points(row) for row in X.R],
-        "d": [[a, b, t] for (a, b), t in sorted(X.d.items())],
+        "d": table_rows(X.d),
     }
     if w is not None:
         obj["s"] = list(w.s)
-        obj["m"] = [[a, a2, t] for (a, a2), t in sorted(w.m.items())]
+        obj["m"] = table_rows(w.m)
     return obj
 
 

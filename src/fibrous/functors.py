@@ -2,9 +2,10 @@
 
 ``functor_G_obj`` turns a topology into the carrier of (open set, point)
 pairs.  Its G-image is that carrier's neighborhood part, with the topology
-kept beside it; the refinement table ``d`` is built, and validated, on the
-first read of ``gi.X``, and the spatial witness on the first read of
-``gi.w``.  Neither round trip nor ``functor_G_mor`` reads them.
+kept beside it; the refinement table ``d`` is built on the first read of
+``gi.X``, and the spatial witness on the first read of ``gi.w``.  Neither
+round trip nor ``functor_G_mor`` reads them.  Constructors called from
+outside check; the builders here use :func:`~fibrous.core.built`.
 ``_check_meet_table`` bounds the witness from the topology alone, so
 ``from-top`` refuses the 10- to 14-point discrete topologies before their
 opens are compared pairwise.
@@ -18,7 +19,6 @@ produces a verified equivalence witness.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -32,6 +32,7 @@ from .core import (
     FinNeighborhoods,
     SpatialWitness,
     _cover,
+    built,
     check_map,
     verify_equivalence,
 )
@@ -88,34 +89,29 @@ class GImage(FinNeighborhoods):
     Element ``a`` is the (open-set bitset, point) pair ``(R[a], p[a])``;
     elements are sorted by pair, so :meth:`element` finds each from its pair.
     The round trips and :func:`functor_G_mor` read only the neighborhood part.
-    Its rows come from a validated topology and are not checked again;
-    :attr:`X` still validates the carrier it builds.
+    ``GImage(...)`` checks its rows; :func:`functor_G_obj` uses ``built``.
     """
 
     T: FiniteTopology
 
-    def __post_init__(self):
-        """No checks: in :func:`functor_G_obj`, each ``p`` entry is a bit of
-        an in-range open that validate_topology passed, each ``R`` entry is
-        such an open, and ``len(p) == len(R) == nA`` by construction."""
+    @cached_property
+    def first(self) -> dict[int, int]:
+        """``first[u]``: the first element over the open set ``u``.  The
+        rows are read backwards, so the least index of each is kept."""
+        return {u: i for i, u in reversed(tuple(enumerate(self.R)))}
 
     def element(self, u: int, y: int) -> int:
         """The element ``(u, y)``, for ``y`` in the open set ``u``: the first
         element over ``u`` plus the number of points of ``u`` below ``y``."""
-        return bisect_left(self.R, u) + (u & ((1 << y) - 1)).bit_count()
+        return self.first[u] + (u & ((1 << y) - 1)).bit_count()
 
     @cached_property
     def X(self) -> FinFibrousPreorder:
         """The carrier with its refinement table: the refinement of
-        ``((U, x), y)`` is ``(U, y)``.  Validated on construction."""
-        R = self.R
-        # the elements over an open set are consecutive; first[U] is where
-        # they start, in place of a bisect per element
-        first = {}
-        for i, u in enumerate(R):
-            first.setdefault(u, i)
+        ``((U, x), y)`` is ``(U, y)``."""
+        R, first = self.R, self.first
         d = {(i, y): t for i, u in enumerate(R) for t, y in enumerate(bits(u), first[u])}
-        return FinFibrousPreorder(self.nB, self.nA, self.p, R, d)
+        return built(FinFibrousPreorder, nB=self.nB, nA=self.nA, p=self.p, R=R, d=d)
 
     @cached_property
     def w(self) -> SpatialWitness:
@@ -141,8 +137,8 @@ def functor_G_obj(T: FiniteTopology) -> GImage:
     neighborhood part is built here, as the :class:`GImage` itself; the
     refinement table is :attr:`GImage.X` and the witness :attr:`GImage.w`.
     The size bound is tested before the quadratic topology check, which
-    raises :class:`NotATopologyError`.  ``p`` and ``R`` are read off the
-    validated opens and not checked again; :attr:`GImage.X` checks them.
+    raises :class:`NotATopologyError`; rows read off the opens it passes
+    hold the :class:`GImage` checks, so the G-image is made with ``built``.
     """
     # d has at most one entry per element and point, and bounds p and R
     size = sum(map(int.bit_count, T.opens)) * T.nB
@@ -159,7 +155,7 @@ def functor_G_obj(T: FiniteTopology) -> GImage:
         pts = bits(u)
         p += pts
         R += [u] * len(pts)
-    return GImage(T.nB, len(p), tuple(p), tuple(R), T)
+    return built(GImage, nB=T.nB, nA=len(p), p=tuple(p), R=tuple(R), T=T)
 
 
 def functor_G_mor(f, gi: GImage, gip: GImage) -> FibrousMorphism:
@@ -186,7 +182,7 @@ def functor_G_mor(f, gi: GImage, gip: GImage) -> FibrousMorphism:
 def functor_F_obj(X: FinNeighborhoods) -> FiniteTopology:
     """Topology induced by a spatial carrier (assumed to pass F1-F6): all
     unions of element neighborhoods."""
-    return FiniteTopology._sorted(X.nB, union_closure(X.R))
+    return built(FiniteTopology, nB=X.nB, opens=union_closure(X.R))
 
 
 def functor_F_obj_brute(X: FinNeighborhoods) -> FiniteTopology:
@@ -291,4 +287,4 @@ def random_spatial_preorder(
         d = {(i, y): pick(y, u) for i, u in enumerate(R) for y in bits(u)}
         s = tuple(pick(x, full_mask(nB)) for x in range(nB))
         m = {(i, j): pick(x, R[i] & R[j]) for i, x in enumerate(p) for j in fibers[x]}
-        return FinFibrousPreorder(nB, len(p), p, R, d), SpatialWitness(s, m)
+        return built(FinFibrousPreorder, nB=nB, nA=len(p), p=p, R=R, d=d), SpatialWitness(s, m)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitsets import preimage
-from .core import FinFibrousPreorder, check_map, check_table, misfits
+from .core import FinFibrousPreorder, check_map, check_table, misfits, table_rows
 from .core import _expect_int_list, _expect_object, _expect_table
 from .report import AxiomReport, Collector, StructureError
 
@@ -119,10 +119,7 @@ def equivalent(m1: FibrousMorphism, m2: FibrousMorphism) -> bool:
 
 
 def morphism_to_json(m: FibrousMorphism) -> dict:
-    return {
-        "f": list(m.f),
-        "fstar": [[a2, b, t] for (a2, b), t in sorted(m.fstar.items())],
-    }
+    return {"f": list(m.f), "fstar": table_rows(m.fstar)}
 
 
 def morphism_from_json(obj) -> FibrousMorphism:

@@ -13,8 +13,8 @@ A topology is decided with two C-level passes over its pairs of opens;
 only a failing family is walked pair by pair, for its witnesses.  The union
 and meet closures make one pass per generator and skip every mask already
 in the closure.  The enumeration and :func:`union_closure` build opens that
-are already in range, distinct and ascending, and ``FiniteTopology._sorted``
-stores those without canonicalizing them again.
+are already in range, distinct and ascending, so the enumeration and
+``functor_F_obj`` wrap them with :func:`~fibrous.core.built`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from operator import and_, attrgetter, or_
 from typing import Callable
 
 from .bitsets import bits, first_outside, full_mask, is_subset, to_points
-from .core import _expect_object, _expect_point_count, _expect_point_lists, _is_int
+from .core import _expect_object, _expect_point_count, _expect_point_lists, _is_int, built
 from .report import AxiomReport, Collector, FormatError
 
 # Number of distinct topologies on 0..6 labelled points (OEIS A000798); the
@@ -45,8 +45,7 @@ class FiniteTopology:
 
     ``opens`` is canonicalized on construction: duplicates removed and sorted
     ascending as integers.  Whether the family is actually a topology is
-    decided by :func:`validate_topology`.  The package's own builders of
-    canonical opens use :meth:`_sorted`, which skips that work.
+    decided by :func:`validate_topology`.
     """
 
     nB: int
@@ -59,16 +58,6 @@ class FiniteTopology:
         if bad is not None:
             raise ValueError(f"open set {self.opens[bad]:#b} has bits outside the base set")
         object.__setattr__(self, "opens", tuple(sorted(set(self.opens))))
-
-    @classmethod
-    def _sorted(cls, nB: int, opens: tuple[int, ...]) -> FiniteTopology:
-        """Wrap ``opens`` that are already in range, distinct and ascending,
-        as the enumeration and :func:`union_closure` build them, without
-        checking or sorting them again."""
-        T = object.__new__(cls)
-        object.__setattr__(T, "nB", nB)
-        object.__setattr__(T, "opens", opens)
-        return T
 
 
 def validate_topology(T: FiniteTopology, verbose: bool = False) -> AxiomReport:
@@ -219,7 +208,7 @@ def enumerate_topologies(n: int) -> list[FiniteTopology]:
                 # the old opens that do not contain u must lie inside c
                 rest = reduce(or_, (o for o in opens if u & ~o), 0)
                 children += [
-                    FiniteTopology._sorted(k + 1, tuple(inside[c] + above))
+                    built(FiniteTopology, nB=k + 1, opens=tuple(inside[c] + above))
                     for c in opens
                     if rest & ~c == 0
                 ]

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -201,7 +202,8 @@ def test_closures_match_the_reference_and_ascend():
             ):
                 got = closure(masks)
                 assert got == reference(masks)
-                # strictly ascending: FiniteTopology._sorted relies on it
+                # strictly ascending: functor_F_obj wraps the union closure
+                # with core.built, which does not sort it
                 assert all(a < b for a, b in zip(got, got[1:]))
 
 
@@ -251,19 +253,23 @@ def test_random_subfamily_closure_generator_agrees():
         assert seen == expected
 
 
-def test_sorted_constructor_builds_only_canonical_topologies():
-    def canonical(T):
-        return T == FiniteTopology(T.nB, T.opens)
+def test_built_values_equal_their_checked_constructors():
+    # core.built skips the constructor checks; each value the package builds
+    # with it must pass them and come out equal, so no list stands in for a
+    # tuple and no open set is out of range, out of order or repeated
+    def canonical(obj):
+        return type(obj)(**{f.name: getattr(obj, f.name) for f in fields(obj)}) == obj
 
     for n in range(7):
         assert all(map(canonical, enumerate_topologies(n)))
-    for n in range(5):
-        for T in enumerate_topologies(n):
-            back = functor_F_obj(functor_G_obj(T))
-            assert canonical(back) and back == T
+    discrete7 = FiniteTopology(7, tuple(range(1 << 7)))
+    for T in [T for n in range(5) for T in enumerate_topologies(n)] + [discrete7]:
+        gi = functor_G_obj(T)
+        back = functor_F_obj(gi)
+        assert canonical(gi) and canonical(gi.X) and canonical(back) and back == T
     for seed in range(200):
         X, _ = random_spatial_preorder(seed)
-        assert canonical(functor_F_obj(X))
+        assert canonical(X) and canonical(functor_F_obj(X))
 
 
 def test_four_point_count_matches_preorder_count():
