@@ -13,7 +13,7 @@ import functools
 import gc
 import json
 import sys
-from itertools import chain
+from itertools import chain, islice
 
 from .core import (
     check_axioms,
@@ -165,8 +165,16 @@ def _cmd_from_top(args) -> int:
         rep = validate_topology(T, verbose=True) if args.verbose else exc.report
         return _verdict(args, "from-top", rep, ["topology axioms: fail"])
     payload = preorder_to_json(gi.X, gi.w)
-    indented = (json.dumps(p, sort_keys=True, indent=2) for p in [payload])
-    return _emit(args, EXIT_OK, payload, indented)
+    if args.json:
+        return _emit(args, EXIT_OK, payload, ())
+    # an indent runs the pure-Python encoder, which would join every chunk
+    # before printing: write its chunks in blocks instead
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
+    write = sys.stdout.write
+    while block := "".join(islice(chunks, 1 << 14)):
+        write(block)
+    write("\n")
+    return EXIT_OK
 
 
 def _cmd_equiv(args) -> int:

@@ -2,10 +2,10 @@
 
 ``functor_G_obj`` turns a topology into the carrier of (open set, point)
 pairs.  Its G-image is that carrier's neighborhood part, with the topology
-kept beside it; the refinement table ``d`` is built on the first read of
-``gi.X``, and the spatial witness on the first read of ``gi.w``.  Neither
-round trip nor ``functor_G_mor`` reads them.  Constructors called from
-outside check; the builders here use :func:`~fibrous.core.built`.
+kept beside it, and is made from the topology alone: ``GImage(T)``, which
+``functor_G_obj`` returns.  The refinement table ``d`` is built on the first
+read of ``gi.X``, and the spatial witness on the first read of ``gi.w``.
+Neither round trip nor ``functor_G_mor`` reads them.
 ``_check_meet_table`` bounds the witness from the topology alone, so
 ``from-top`` refuses the 10- to 14-point discrete topologies before their
 opens are compared pairwise.
@@ -43,8 +43,9 @@ from .topology import FiniteTopology, meet_closure, union_closure, validate_topo
 BRUTE_LIMIT = 20  # the brute-force F walks all 2**nB point subsets
 # Largest table a G-image builds: its refinement table ``d`` and the meet
 # table of its witness hold up to this many entries each.  At the limit,
-# from-top on the 1,024-point indiscrete topology peaks near 380 MB RSS on
-# CPython 3.11; the 3,000-point one would need 9M refinement entries.
+# from-top on the 1,024-point indiscrete topology peaks near 380 MB RSS
+# with --json and near 320 MB without on CPython 3.11; the 3,000-point one
+# would need 9M refinement entries.
 MAX_G_TABLE = 1 << 20
 _PASSED = AxiomReport()  # frozen, so every recovered topology shares it
 
@@ -89,10 +90,32 @@ class GImage(FinNeighborhoods):
     Element ``a`` is the (open-set bitset, point) pair ``(R[a], p[a])``;
     elements are sorted by pair, so :meth:`element` finds each from its pair.
     The round trips and :func:`functor_G_mor` read only the neighborhood part.
-    ``GImage(...)`` checks its rows; :func:`functor_G_obj` uses ``built``.
+    ``GImage(T)`` is the only constructor: it reads the rows off ``T``.
+
+    The size bound is tested before the quadratic topology check, which
+    raises :class:`NotATopologyError`; the rows of a topology that passes
+    hold the :class:`FinNeighborhoods` checks by construction.
     """
 
     T: FiniteTopology
+
+    def __init__(self, T: FiniteTopology):
+        # d has at most one entry per element and point, and bounds p and R
+        size = sum(map(int.bit_count, T.opens)) * T.nB
+        if size > MAX_G_TABLE:
+            raise ValueError(
+                f"the G-image's refinement table would have up to {size} entries, "
+                f"above MAX_G_TABLE = {MAX_G_TABLE}"
+            )
+        rep = validate_topology(T)
+        if not rep.passed:
+            raise NotATopologyError(rep)
+        p, R = [], []
+        for u in T.opens:
+            pts = bits(u)
+            p += pts
+            R += [u] * len(pts)
+        self.__dict__.update(nB=T.nB, nA=len(p), p=tuple(p), R=tuple(R), T=T)
 
     @cached_property
     def first(self) -> dict[int, int]:
@@ -131,31 +154,11 @@ class GImage(FinNeighborhoods):
 
 
 def functor_G_obj(T: FiniteTopology) -> GImage:
-    """Build the carrier of all (open set, member point) pairs of ``T``.
-
-    Elements are ordered by (open set as integer, point).  Only the
-    neighborhood part is built here, as the :class:`GImage` itself; the
-    refinement table is :attr:`GImage.X` and the witness :attr:`GImage.w`.
-    The size bound is tested before the quadratic topology check, which
-    raises :class:`NotATopologyError`; rows read off the opens it passes
-    hold the :class:`GImage` checks, so the G-image is made with ``built``.
-    """
-    # d has at most one entry per element and point, and bounds p and R
-    size = sum(map(int.bit_count, T.opens)) * T.nB
-    if size > MAX_G_TABLE:
-        raise ValueError(
-            f"the G-image's refinement table would have up to {size} entries, "
-            f"above MAX_G_TABLE = {MAX_G_TABLE}"
-        )
-    rep = validate_topology(T)
-    if not rep.passed:
-        raise NotATopologyError(rep)
-    p, R = [], []
-    for u in T.opens:
-        pts = bits(u)
-        p += pts
-        R += [u] * len(pts)
-    return built(GImage, nB=T.nB, nA=len(p), p=tuple(p), R=tuple(R), T=T)
+    """Build the carrier of all (open set, member point) pairs of ``T``:
+    the :class:`GImage` ``GImage(T)``, ordered by (open set as integer,
+    point).  Only the neighborhood part is built here; the refinement table
+    is :attr:`GImage.X` and the witness :attr:`GImage.w`."""
+    return GImage(T)
 
 
 def functor_G_mor(f, gi: GImage, gip: GImage) -> FibrousMorphism:

@@ -6,6 +6,7 @@ import pytest
 from fibrous import (
     FiniteTopology,
     broken_metric_q,
+    enumerate_topologies,
     functor_G_mor,
     functor_G_obj,
     identity_morphism,
@@ -42,6 +43,19 @@ def test_from_top_then_check_passes(tmp_path, sierpinski_top, capsys):
     assert main(["check", fixture]) == 0
     out = capsys.readouterr().out
     assert "F1-F6: pass" in out
+
+
+def test_plain_from_top_prints_the_indented_carrier(tmp_path, capsys):
+    # without --json the encoder's chunks are written in blocks; the bytes
+    # are those of one indented json.dumps of the carrier
+    tops = [T for n in range(4) for T in enumerate_topologies(n)]
+    tops.append(FiniteTopology(7, tuple(range(1 << 7))))
+    for T in tops:
+        path = write(tmp_path, "top.json", topology_to_json(T))
+        assert main(["from-top", path]) == 0
+        gi = functor_G_obj(T)
+        want = json.dumps(preorder_to_json(gi.X, gi.w), sort_keys=True, indent=2) + "\n"
+        assert capsys.readouterr().out == want
 
 
 def test_check_without_witness_reports_f1_f3(tmp_path, capsys):

@@ -150,8 +150,8 @@ def test_g_images_pass_axioms_on_all_small_topologies():
 
 
 def test_g_image_rows_pass_the_checked_constructor():
-    # functor_G_obj builds its G-image with core.built; the checked
-    # constructors must accept every one of its rows unchanged
+    # GImage(T) reads its rows off the topology without the FinNeighborhoods
+    # checks; the checked constructors must accept every one of them unchanged
     tops = [T for n in range(5) for T in enumerate_topologies(n)] + [discrete(7)]
     tops += [functor_F_obj(random_spatial_preorder(seed)[0]) for seed in range(50)]
     for T in tops:
@@ -160,9 +160,12 @@ def test_g_image_rows_pass_the_checked_constructor():
         N = FinNeighborhoods(gi.nB, gi.nA, gi.p, gi.R)
         assert (N.nB, N.nA, N.p, N.R) == (gi.nB, gi.nA, gi.p, gi.R)
         assert (gi.X.nB, gi.X.nA, gi.X.p, gi.X.R) == (gi.nB, gi.nA, gi.p, gi.R)
-    # the public GImage constructor refuses rows out of range when called
-    with pytest.raises(StructureError, match=r"R\[0\] has bits outside the base set"):
+        assert functors.GImage(T) == gi
+    # a G-image is made from its topology alone: no rows can contradict it
+    with pytest.raises(TypeError):
         functors.GImage(2, 1, (0,), (0b100,), SIERPINSKI)
+    with pytest.raises(NotATopologyError, match="not a topology: empty"):
+        functors.GImage(FiniteTopology(2, (1, 3)))
 
 
 def test_round_trips_never_build_a_witness(monkeypatch):

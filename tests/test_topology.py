@@ -4,7 +4,9 @@ from dataclasses import fields
 import pytest
 
 from fibrous import (
+    FinNeighborhoods,
     FiniteTopology,
+    GImage,
     enumerate_topologies,
     enumerate_topologies_brute,
     enumerate_topologies_closure,
@@ -254,9 +256,10 @@ def test_random_subfamily_closure_generator_agrees():
 
 
 def test_built_values_equal_their_checked_constructors():
-    # core.built skips the constructor checks; each value the package builds
-    # with it must pass them and come out equal, so no list stands in for a
-    # tuple and no open set is out of range, out of order or repeated
+    # core.built and GImage(T) skip the FinNeighborhoods checks; each value
+    # the package builds that way must pass them and come out equal, so no
+    # list stands in for a tuple and no open set is out of range, out of
+    # order or repeated
     def canonical(obj):
         return type(obj)(**{f.name: getattr(obj, f.name) for f in fields(obj)}) == obj
 
@@ -266,7 +269,11 @@ def test_built_values_equal_their_checked_constructors():
     for T in [T for n in range(5) for T in enumerate_topologies(n)] + [discrete7]:
         gi = functor_G_obj(T)
         back = functor_F_obj(gi)
-        assert canonical(gi) and canonical(gi.X) and canonical(back) and back == T
+        # GImage takes the topology alone; its rows go to FinNeighborhoods
+        assert GImage(gi.T) == gi
+        rows = FinNeighborhoods(gi.nB, gi.nA, gi.p, gi.R)
+        assert (rows.nB, rows.nA, rows.p, rows.R) == (gi.nB, gi.nA, gi.p, gi.R)
+        assert canonical(gi.X) and canonical(back) and back == T
     for seed in range(200):
         X, _ = random_spatial_preorder(seed)
         assert canonical(X) and canonical(functor_F_obj(X))
