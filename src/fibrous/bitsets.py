@@ -49,10 +49,5 @@ def from_points(points, n: int) -> int:
     return mask
 
 
-def preimage(f, mask: int) -> int:
-    """The points ``y`` whose image ``f[y]`` lies in ``mask``."""
-    return sum(1 << y for y, fy in enumerate(f) if mask >> fy & 1)
-
-
 def is_subset(a: int, b: int) -> bool:
     return a & ~b == 0

@@ -10,9 +10,11 @@ size.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product
+from heapq import nsmallest
+from itertools import chain, filterfalse, islice, product
 from operator import itemgetter
 
 from .bitsets import bits, first_outside, from_points, to_points
@@ -92,37 +94,36 @@ class FinFibrousPreorder(FinNeighborhoods):
 
     def __post_init__(self):
         super().__post_init__()
-        R = self.R
-        check_table(
-            self.d,
-            lambda: ((a, b) for a, row in enumerate(R) for b in bits(row)),
-            sum(map(int.bit_count, R)),
-            self.nA,
-            "d",
-            "the related pairs",
-        )
+        check_table(self.d, tuple(map(bits, self.R)), self.nA, "d", "the related pairs")
 
 
-def check_table(
-    table: dict, domain, size: int, n_values: int, name: str, pairs: str
-) -> None:
+def check_table(table: dict, rows, n_values: int, name: str, pairs: str) -> None:
     """Raise :class:`StructureError` unless the keys of ``table`` are exactly
-    the ``size`` keys that ``domain()`` yields and every value lies in
-    ``range(n_values)``; ``pairs`` names the domain in the message.
+    the domain given by ``rows`` and every value lies in ``range(n_values)``;
+    ``pairs`` names the domain in the message.
 
-    ``domain()`` returns a fresh iterator over the keys, each once.  The
-    keys are streamed through one pass in C, not stored; only on failure is
-    ``domain()`` called again to name the missing and extra keys, or the
-    first bad value looked for."""
-    if size != len(table) or not all(map(table.__contains__, domain())):
-        expected = set(domain())
-        missing = sorted(expected - table.keys())
-        extra = sorted(table.keys() - expected)
+    ``rows[x]`` is the ascending sequence of the ``y`` that form keys
+    ``(x, y)``, so the domain has ``sum(map(len, rows))`` keys.  They are
+    walked in sorted order by one pass in C, never stored, and the walk
+    stops at the third key missing from ``table``.  Only on failure is each
+    table key looked up in its row, to name the extra keys.  So the work is
+    bounded by the table and the rows, never by the domain."""
+    walk = chain.from_iterable(map(product, zip(range(len(rows))), rows))
+    missing = list(islice(filterfalse(table.__contains__, walk), 3))
+    if missing or sum(map(len, rows)) != len(table):
+        extra = nsmallest(3, (key for key in table if not _in_rows(rows, *key)))
         raise StructureError(
             f"{name} table must cover exactly {pairs}"
-            f" (missing {missing[:3]}, extra {extra[:3]})"
+            f" (missing {missing}, extra {extra})"
         )
     _check_values(table.values(), table.items(), n_values, name)
+
+
+def _in_rows(rows, x: int, y: int) -> bool:
+    """Whether ``(x, y)`` is a key of the domain ``rows``: one bisect."""
+    row = rows[x] if 0 <= x < len(rows) else ()
+    i = bisect_right(row, y)
+    return y in row[i - 1:i]  # empty for i == 0
 
 
 def check_map(values, n: int, n_values: int, name: str) -> None:
@@ -188,15 +189,8 @@ class EquivalenceWitness:
 def validate_witness(X: FinFibrousPreorder, w: SpatialWitness) -> None:
     """Raise :class:`StructureError` unless ``w`` is structurally valid for ``X``."""
     check_map(w.s, X.nB, X.nA, "s")
-    fibers = X.fibers
-    check_table(
-        w.m,
-        lambda: chain.from_iterable(product(fiber, repeat=2) for fiber in fibers),
-        sum(len(fiber) ** 2 for fiber in fibers),
-        X.nA,
-        "m",
-        "the same-fiber pairs",
-    )
+    rows = tuple(map(X.fibers.__getitem__, X.p))
+    check_table(w.m, rows, X.nA, "m", "the same-fiber pairs")
 
 
 def check_axioms(

@@ -25,7 +25,7 @@ from functools import cached_property
 from itertools import chain
 from random import Random
 
-from .bitsets import bits, full_mask, is_subset, preimage, to_points
+from .bitsets import bits, full_mask, is_subset, to_points
 from .core import (
     EquivalenceWitness,
     FinFibrousPreorder,
@@ -36,7 +36,7 @@ from .core import (
     check_map,
     verify_equivalence,
 )
-from .morphisms import FibrousMorphism
+from .morphisms import FibrousMorphism, inverse_image
 from .report import AxiomReport, Collector, StructureError, violation_line
 from .topology import FiniteTopology, meet_closure, union_closure, validate_topology
 
@@ -173,7 +173,7 @@ def functor_G_mor(f, gi: GImage, gip: GImage) -> FibrousMorphism:
     f = tuple(f)
     check_map(f, T.nB, Tp.nB, "f")
     opens = set(T.opens)
-    pre = {up: preimage(f, up) for up in Tp.opens}
+    _, pre = inverse_image(f, Tp.nB, Tp.opens)
     for up, u in pre.items():
         if u not in opens:
             raise NotContinuousError(to_points(up))

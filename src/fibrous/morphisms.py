@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitsets import preimage
+from .bitsets import bits
 from .core import FinFibrousPreorder, check_map, check_table, misfits, table_rows
 from .core import _expect_int_list, _expect_object, _expect_table
 from .report import AxiomReport, Collector, StructureError
@@ -51,26 +51,31 @@ def verify_morphism(
     M2: the lifting's neighborhood maps into the target neighborhood.
 
     One :func:`~fibrous.core.misfits` pass checks both, M2 as "inside the
-    preimage of the target neighborhood".  A base map that is not total or
-    a lifting table whose domain is not exactly the fiber product raises
-    :class:`StructureError`; ``owner`` (such as :data:`FIRST`) goes before
-    ``f`` and ``fstar`` in its message.
+    preimage of the target neighborhood", read off one :func:`inverse_image`
+    of ``f`` that also gives the fiber product's rows.  A base map that is
+    not total or a lifting table whose domain is not exactly the fiber
+    product raises :class:`StructureError`; ``owner`` (such as :data:`FIRST`)
+    goes before ``f`` and ``fstar`` in its message.
     """
     check_map(m.f, X.nB, Xp.nB, owner + "f")
-    fibers, f = Xp.fibers, m.f
-    check_table(
-        m.fstar,
-        lambda: ((a2, b) for b, y in enumerate(f) for a2 in fibers[y]),
-        sum(len(fibers[y]) for y in f),
-        X.nA,
-        owner + "fstar",
-        "the fiber product",
-    )
+    over, pre = inverse_image(m.f, Xp.nB, Xp.R)
+    rows = tuple(map(over.__getitem__, Xp.p))
+    check_table(m.fstar, rows, X.nA, owner + "fstar", "the fiber product")
     col = Collector(verbose)
-    pre = [preimage(m.f, row) for row in Xp.R]
-    lifts = (((a2, b), t, b, pre[a2]) for (a2, b), t in m.fstar.items())
+    lifts = (((a2, b), t, b, pre[Xp.R[a2]]) for (a2, b), t in m.fstar.items())
     misfits(col, "M1", "M2", X.p, X.R, lifts)
     return col.report()
+
+
+def inverse_image(f, n: int, masks) -> tuple[list[list[int]], dict[int, int]]:
+    """``(over, pre)`` for a map ``f`` into ``range(n)``: ``over[y]`` lists
+    the points ``b`` with ``f[b] == y``, ascending, and ``pre[u]`` is the
+    preimage of each point set ``u`` in ``masks``, in their order."""
+    over = [[] for _ in range(n)]
+    for b, y in enumerate(f):
+        over[y].append(b)
+    point = [sum(map((1).__lshift__, pts)) for pts in over]
+    return over, {u: sum(map(point.__getitem__, bits(u))) for u in dict.fromkeys(masks)}
 
 
 def identity_morphism(X: FinFibrousPreorder) -> FibrousMorphism:

@@ -9,8 +9,9 @@ its oracles: a brute-force filter over all set families (up to 3 points) and
 a minimal-neighborhood generator that dedups coherent choices (up to 4
 points).
 
-A topology is decided with two C-level passes over its pairs of opens;
-only a failing family is walked pair by pair, for its witnesses.  The union
+A topology is decided with two C-level passes over its pairs of opens, and
+a failing axiom is scanned in C up to its first failing pair; only a
+verbose report walks a failing family pair by pair.  The union
 and meet closures make one pass per generator and skip every mask already
 in the closure.  The enumeration and :func:`union_closure` build opens that
 are already in range, distinct and ascending, so the enumeration and
@@ -21,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, product, starmap
-from operator import and_, attrgetter, or_
+from itertools import combinations, compress, count, islice, product, starmap
+from operator import and_, attrgetter, itemgetter, not_, or_
 from typing import Callable
 
 from .bitsets import bits, first_outside, full_mask, is_subset, to_points
@@ -64,31 +65,44 @@ def validate_topology(T: FiniteTopology, verbose: bool = False) -> AxiomReport:
     """Check that ``T.opens`` contains the empty and full sets and is closed
     under pairwise union and intersection; witnesses name the missing sets.
 
-    A topology is decided by two C-level passes over the pairs of distinct
-    opens (``u | u`` and ``u & u`` are ``u``).  Only a failing family is
-    walked pair by pair, in order, to collect its witnesses."""
+    Unions and intersections are each decided by one C-level pass over the
+    pairs of distinct opens (``u | u`` and ``u & u`` are ``u``).  A failing
+    axiom is then scanned in C again, up to its first failing pair, which
+    is all a report that keeps one witness per tag needs; the witnesses come
+    in pair order, union before intersection on one pair.  Only a verbose
+    report walks a failing family pair by pair, to collect every witness."""
     opens = T.opens
     members = set(opens)
     full = full_mask(T.nB)
-    if (
-        0 in members
-        and full in members
-        and members.issuperset(starmap(or_, combinations(opens, 2)))
-        and members.issuperset(starmap(and_, combinations(opens, 2)))
-    ):
+    failing = [
+        (tag, op)
+        for tag, op in (("union", or_), ("intersection", and_))
+        if not members.issuperset(starmap(op, combinations(opens, 2)))
+    ]
+    if 0 in members and full in members and not failing:
         return AxiomReport()
     col = Collector(verbose)
     if 0 not in members:
         col.add("empty", ())
     if full not in members:
         col.add("full", (to_points(full),))
-    # opens are sorted and unique, so each unordered pair comes once, u <= v
-    for i, u in enumerate(opens):
-        for v in opens[i:]:
-            if u | v not in members:
-                col.add("union", (to_points(u), to_points(v)))
-            if u & v not in members:
-                col.add("intersection", (to_points(u), to_points(v)))
+    if verbose:
+        # opens are sorted and unique, so each unordered pair comes once, u <= v
+        for i, u in enumerate(opens):
+            for v in opens[i:]:
+                if u | v not in members:
+                    col.add("union", (to_points(u), to_points(v)))
+                if u & v not in members:
+                    col.add("intersection", (to_points(u), to_points(v)))
+        return col.report()
+    firsts = []
+    for tag, op in failing:
+        outside = map(not_, map(members.__contains__, starmap(op, combinations(opens, 2))))
+        firsts.append((next(compress(count(), outside)), tag))
+    # a stable sort keeps union before intersection on one pair
+    for k, tag in sorted(firsts, key=itemgetter(0)):
+        u, v = next(islice(combinations(opens, 2), k, None))
+        col.add(tag, (to_points(u), to_points(v)))
     return col.report()
 
 

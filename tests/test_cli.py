@@ -419,6 +419,15 @@ PINNED_M = PINNED_FILES["M"]
     pytest.param({**PINNED_M, "fstar": [[0, 0, 1], [2, 1, 2], [1, 0, 0], [1, 1, 1]]},
                  "first morphism's fstar table must cover exactly the fiber product"
                  " (missing [(0, 1), (2, 0)], extra [(1, 0), (1, 1)])", id="fstar-missing-and-extra"),
+    pytest.param({**PINNED_G, "d": [*PINNED_G["d"], [0, -1, 0]]},
+                 "d table must cover exactly the related pairs (missing [], extra [(0, -1)])",
+                 id="d-extra-negative-point"),
+    pytest.param({**PINNED_G, "m": [*PINNED_G["m"], [3, 0, 0]]},
+                 "m table must cover exactly the same-fiber pairs (missing [], extra [(3, 0)])",
+                 id="m-extra-element-at-nA"),
+    pytest.param({**PINNED_M, "fstar": [*PINNED_M["fstar"], [0, 2, 1]]},
+                 "first morphism's fstar table must cover exactly the fiber product"
+                 " (missing [], extra [(0, 2)])", id="fstar-extra-point-at-nB"),
     pytest.param({**PINNED_G, "d": [[0, 1, 0], [1, 0, 1], [1, 1, 3], [2, 0, 1], [2, 1, 2]]},
                  "d[(1, 1)]=3 out of range", id="d-out-of-range"),
     pytest.param({**PINNED_G, "d": [[2, 1, 9], [0, 1, 0], [1, 0, -1], [1, 1, 2], [2, 0, 1]]},
@@ -901,3 +910,24 @@ def test_json_reports_are_byte_identical(capsys, sierpinski_g):
     assert main(["check", sierpinski_g, "--json"]) == 0
     b = capsys.readouterr().out
     assert a == b
+
+
+def test_table_errors_are_bounded_by_the_file(tmp_path, capsys):
+    """A table far smaller than its domain is named from its own rows: the
+    10,000-element fiber's 10**8 same-fiber pairs and the 12M-pair fiber
+    product are never built, so both files exit 2 with the message."""
+    n = 10_000
+    one_fiber = {"nB": 1, "nA": n, "p": [0] * n, "R": [[0]] * n, "d": [[a, 0, a] for a in range(n)],
+                 "s": [0], "m": [[0, 0, 0], [0, 1, 0], [n, 0, 0]]}
+    assert main(["check", write(tmp_path, "x.json", one_fiber)]) == 2
+    assert capsys.readouterr() == ("", "error: m table must cover exactly the same-fiber pairs"
+                                       " (missing [(0, 2), (0, 3), (0, 4)], extra [(10000, 0)])\n")
+    empty = write(tmp_path, "e.json", {"nB": 4000, "nA": 0, "p": [], "R": [], "d": []})
+    n = 3000
+    fiber = write(tmp_path, "f.json", {"nB": 1, "nA": n, "p": [0] * n, "R": [[0]] * n,
+                                        "d": [[a, 0, a] for a in range(n)]})
+    m1 = write(tmp_path, "m1.json", {"f": [0] * 4000, "fstar": []})
+    m2 = write(tmp_path, "m2.json", {"f": [0], "fstar": [[a, 0, a] for a in range(n)]})
+    assert main(["compose", empty, fiber, fiber, m1, m2]) == 2
+    assert capsys.readouterr() == ("", "error: first morphism's fstar table must cover exactly"
+                                       " the fiber product (missing [(0, 0), (0, 1), (0, 2)], extra [])\n")

@@ -17,6 +17,7 @@ from fibrous import (
     validate_topology,
 )
 from fibrous.bitsets import bits
+from fibrous.report import Collector
 from fibrous.functors import functor_F_obj, functor_G_obj, random_spatial_preorder
 from fibrous.topology import MAX_OPENS, TOPOLOGY_COUNTS, meet_closure
 
@@ -41,6 +42,41 @@ def test_validate_reports_missing_empty_and_intersection():
     rep = validate_topology(FiniteTopology(2, (1, 2, 3)))
     tags = {tag for tag, _ in rep.violations}
     assert "empty" in tags and "intersection" in tags
+
+
+def _ref_validate_topology(T, verbose):
+    """The pair walk: each unordered pair of opens in order, union before
+    intersection on one pair."""
+    members, full = set(T.opens), (1 << T.nB) - 1
+    col = Collector(verbose)
+    if 0 not in members:
+        col.add("empty", ())
+    if full not in members:
+        col.add("full", (list(bits(full)),))
+    for i, u in enumerate(T.opens):
+        for v in T.opens[i:]:
+            if u | v not in members:
+                col.add("union", (list(bits(u)), list(bits(v))))
+            if u & v not in members:
+                col.add("intersection", (list(bits(u)), list(bits(v))))
+    return col.report()
+
+
+@pytest.mark.parametrize("verbose", (False, True))
+def test_validate_matches_the_pair_walk(verbose):
+    for n in range(4):
+        for fam in range(1 << (1 << n)):
+            T = FiniteTopology(n, tuple(s for s in range(1 << n) if fam >> s & 1))
+            assert validate_topology(T, verbose) == _ref_validate_topology(T, verbose)
+
+
+def test_validate_names_a_late_first_union_quickly():
+    """3,930 opens on 128 points whose first failing pair is the 3,930th:
+    the report keeps one witness, found without walking the pairs."""
+    pairs = [1 << x | 1 << y for x in range(1, 128) for y in range(x + 1, 128)][:3800]
+    T = FiniteTopology(128, (0, (1 << 128) - 1, *(1 << x for x in range(128)), *pairs))
+    assert len(T.opens) == 3930
+    assert validate_topology(T).violations == (("union", ([0], [1])),)
 
 
 def test_opens_are_canonicalized():

@@ -167,3 +167,25 @@ def test_verify_morphism_matches_the_reference(verbose):
             assert verify_morphism(X, Xp, mc, verbose) == want
             seen.update(tag for tag, _ in want.violations)
     assert seen == {"M1", "M2"}
+
+
+@pytest.mark.parametrize("verbose", (False, True))
+def test_verify_morphism_matches_the_reference_on_a_large_source(verbose):
+    """A source base far larger than the target's: every preimage is read
+    off one inverse image of the base map."""
+    rng = Random(4)
+    nB, nt = 300, 7
+    X = FinFibrousPreorder(nB, nB, tuple(range(nB)), tuple(1 << b for b in range(nB)),
+                           {(b, b): b for b in range(nB)})
+    p = tuple(rng.randrange(3) for _ in range(nt))
+    R = tuple(1 << y | rng.randrange(8) for y in p)
+    Xp = FinFibrousPreorder(3, nt, p, R, {(a, y): a for a in range(nt) for y in bits(R[a])})
+    f = [rng.randrange(3) for _ in range(nB)]
+    fstar = {(a2, b): b for a2 in range(nt) for b in range(nB) if f[b] == p[a2]}
+    seen = set()
+    for _ in range(6):
+        m = FibrousMorphism(f, _corrupt(fstar, nB, rng))
+        want = ref_verify_morphism(X, Xp, m, verbose)
+        assert verify_morphism(X, Xp, m, verbose) == want
+        seen.update(tag for tag, _ in want.violations)
+    assert seen == {"M1", "M2"}
