@@ -13,7 +13,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from heapq import nsmallest
 from itertools import chain, filterfalse, islice, product
 from operator import itemgetter
 
@@ -111,7 +110,7 @@ def check_table(table: dict, rows, n_values: int, name: str, pairs: str) -> None
     walk = chain.from_iterable(map(product, zip(range(len(rows))), rows))
     missing = list(islice(filterfalse(table.__contains__, walk), 3))
     if missing or sum(map(len, rows)) != len(table):
-        extra = nsmallest(3, (key for key in table if not _in_rows(rows, *key)))
+        extra = sorted(key for key in table if not _in_rows(rows, *key))[:3]
         raise StructureError(
             f"{name} table must cover exactly {pairs}"
             f" (missing {missing}, extra {extra})"
@@ -189,8 +188,7 @@ class EquivalenceWitness:
 def validate_witness(X: FinFibrousPreorder, w: SpatialWitness) -> None:
     """Raise :class:`StructureError` unless ``w`` is structurally valid for ``X``."""
     check_map(w.s, X.nB, X.nA, "s")
-    rows = tuple(map(X.fibers.__getitem__, X.p))
-    check_table(w.m, rows, X.nA, "m", "the same-fiber pairs")
+    check_table(w.m, tuple(map(X.fibers.__getitem__, X.p)), X.nA, "m", "the same-fiber pairs")
 
 
 def check_axioms(

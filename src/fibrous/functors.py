@@ -173,7 +173,7 @@ def functor_G_mor(f, gi: GImage, gip: GImage) -> FibrousMorphism:
     f = tuple(f)
     check_map(f, T.nB, Tp.nB, "f")
     opens = set(T.opens)
-    _, pre = inverse_image(f, Tp.nB, Tp.opens)
+    pre = dict(zip(Tp.opens, inverse_image(f, Tp.nB, Tp.opens)[1]))
     for up, u in pre.items():
         if u not in opens:
             raise NotContinuousError(to_points(up))

@@ -62,20 +62,20 @@ def verify_morphism(
     rows = tuple(map(over.__getitem__, Xp.p))
     check_table(m.fstar, rows, X.nA, owner + "fstar", "the fiber product")
     col = Collector(verbose)
-    lifts = (((a2, b), t, b, pre[Xp.R[a2]]) for (a2, b), t in m.fstar.items())
+    lifts = (((a2, b), t, b, pre[a2]) for (a2, b), t in m.fstar.items())
     misfits(col, "M1", "M2", X.p, X.R, lifts)
     return col.report()
 
 
-def inverse_image(f, n: int, masks) -> tuple[list[list[int]], dict[int, int]]:
+def inverse_image(f, n: int, masks) -> tuple[list[list[int]], list[int]]:
     """``(over, pre)`` for a map ``f`` into ``range(n)``: ``over[y]`` lists
-    the points ``b`` with ``f[b] == y``, ascending, and ``pre[u]`` is the
-    preimage of each point set ``u`` in ``masks``, in their order."""
+    the points ``b`` with ``f[b] == y``, ascending, and ``pre[i]`` is the
+    preimage of the point set ``masks[i]``."""
     over = [[] for _ in range(n)]
     for b, y in enumerate(f):
         over[y].append(b)
     point = [sum(map((1).__lshift__, pts)) for pts in over]
-    return over, {u: sum(map(point.__getitem__, bits(u))) for u in dict.fromkeys(masks)}
+    return over, [sum(map(point.__getitem__, bits(u))) for u in masks]
 
 
 def identity_morphism(X: FinFibrousPreorder) -> FibrousMorphism:

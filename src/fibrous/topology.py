@@ -10,12 +10,13 @@ a minimal-neighborhood generator that dedups coherent choices (up to 4
 points).
 
 A topology is decided with two C-level passes over its pairs of opens, and
-a failing axiom is scanned in C up to its first failing pair; only a
-verbose report walks a failing family pair by pair.  The union
-and meet closures make one pass per generator and skip every mask already
-in the closure.  The enumeration and :func:`union_closure` build opens that
-are already in range, distinct and ascending, so the enumeration and
-``functor_F_obj`` wrap them with :func:`~fibrous.core.built`.
+a failing family is scanned in C for its failing pairs (only the first of
+each axiom unless the report is verbose); no family is walked pair by pair
+in Python.  The union and meet closures make one pass per generator and
+skip every mask already in the closure.  The enumeration and
+:func:`union_closure` build opens that are already in range, distinct and
+ascending, so the enumeration and ``functor_F_obj`` wrap them with
+:func:`~fibrous.core.built`.
 """
 
 from __future__ import annotations
@@ -65,43 +66,43 @@ def validate_topology(T: FiniteTopology, verbose: bool = False) -> AxiomReport:
     """Check that ``T.opens`` contains the empty and full sets and is closed
     under pairwise union and intersection; witnesses name the missing sets.
 
-    Unions and intersections are each decided by one C-level pass over the
-    pairs of distinct opens (``u | u`` and ``u & u`` are ``u``).  A failing
-    axiom is then scanned in C again, up to its first failing pair, which
-    is all a report that keeps one witness per tag needs; the witnesses come
-    in pair order, union before intersection on one pair.  Only a verbose
-    report walks a failing family pair by pair, to collect every witness."""
+    A topology is decided by two C-level passes over the pairs of distinct
+    opens (``u | u`` and ``u & u`` are ``u``).  For a failing family, each
+    failing axiom is scanned in C again for the indices of its failing
+    pairs: all of them for a verbose report, else only the first, which is
+    all a report that keeps one witness per tag needs.  One more pass over the
+    pairs names them, in pair order, union before intersection on one
+    pair."""
     opens = T.opens
     members = set(opens)
     full = full_mask(T.nB)
-    failing = [
-        (tag, op)
-        for tag, op in (("union", or_), ("intersection", and_))
-        if not members.issuperset(starmap(op, combinations(opens, 2)))
-    ]
-    if 0 in members and full in members and not failing:
+    if (
+        0 in members
+        and full in members
+        and members.issuperset(starmap(or_, combinations(opens, 2)))
+        and members.issuperset(starmap(and_, combinations(opens, 2)))
+    ):
         return AxiomReport()
     col = Collector(verbose)
     if 0 not in members:
         col.add("empty", ())
     if full not in members:
         col.add("full", (to_points(full),))
-    if verbose:
-        # opens are sorted and unique, so each unordered pair comes once, u <= v
-        for i, u in enumerate(opens):
-            for v in opens[i:]:
-                if u | v not in members:
-                    col.add("union", (to_points(u), to_points(v)))
-                if u & v not in members:
-                    col.add("intersection", (to_points(u), to_points(v)))
-        return col.report()
-    firsts = []
-    for tag, op in failing:
+    # each failing axiom's pair indices in combinations(opens, 2): every one
+    # for a verbose report, else the first
+    hits = []
+    for tag, op in (("union", or_), ("intersection", and_)):
+        if members.issuperset(starmap(op, combinations(opens, 2))):
+            continue
         outside = map(not_, map(members.__contains__, starmap(op, combinations(opens, 2))))
-        firsts.append((next(compress(count(), outside)), tag))
+        ks = compress(count(), outside)
+        hits.extend((k, tag) for k in (ks if verbose else islice(ks, 1)))
     # a stable sort keeps union before intersection on one pair
-    for k, tag in sorted(firsts, key=itemgetter(0)):
-        u, v = next(islice(combinations(opens, 2), k, None))
+    pairs, last = combinations(opens, 2), -1
+    for k, tag in sorted(hits, key=itemgetter(0)):
+        if k != last:
+            u, v = next(islice(pairs, k - last - 1, None))
+            last = k
         col.add(tag, (to_points(u), to_points(v)))
     return col.report()
 
