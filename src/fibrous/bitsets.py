@@ -28,14 +28,14 @@ def to_points(mask: int) -> list[int]:
     return list(bits(mask))
 
 
-def first_outside(masks, n: int) -> int | None:
-    """The index of the first of ``masks`` with a bit outside ``0..n-1``,
-    or ``None``.  One ``min`` and one ``max`` pass in C; the masks are
-    walked only to name the failing one."""
-    top = full_mask(n)
-    if masks and not (0 <= min(masks) and max(masks) <= top):
-        for i, mask in enumerate(masks):
-            if not 0 <= mask <= top:
+def first_outside(values, n: int) -> int | None:
+    """The index of the first of ``values`` outside ``range(n)``, or
+    ``None``; a bitset over ``0..nB-1`` is a value in ``range(1 << nB)``.
+    One ``min`` and one ``max`` pass in C; the values are walked only to
+    name the failing one."""
+    if values and not (0 <= min(values) and max(values) < n):
+        for i, v in enumerate(values):
+            if not 0 <= v < n:
                 return i
     return None
 

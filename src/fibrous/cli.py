@@ -83,12 +83,16 @@ def _load_json(path: str):
                 text = fh.read()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 at byte {exc.start}: {exc.reason}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise FormatError(f"{path}: {exc}") from None
     except RecursionError:
         raise FormatError(f"{path}: JSON nested too deeply") from None
 

@@ -57,17 +57,14 @@ class FinNeighborhoods:
         if len(self.R) != self.nA:
             raise StructureError(f"R has {len(self.R)} rows, expected {self.nA}")
         _check_values(self.p, enumerate(self.p), self.nB, "p")
-        bad = first_outside(self.R, self.nB)
+        bad = first_outside(self.R, 1 << self.nB)
         if bad is not None:
             raise StructureError(f"R[{bad}] has bits outside the base set")
 
     @cached_property
     def fibers(self) -> tuple[tuple[int, ...], ...]:
         """``fibers[x]``: the elements over point ``x``, ascending."""
-        out = [[] for _ in range(self.nB)]
-        for a, x in enumerate(self.p):
-            out[x].append(a)
-        return tuple(map(tuple, out))
+        return tuple(map(tuple, fibers_of(self.p, self.nB)))
 
     def least_within(self, x: int, S: int) -> int | None:
         """The least element over point ``x`` whose neighborhood lies inside
@@ -134,12 +131,20 @@ def check_map(values, n: int, n_values: int, name: str) -> None:
 
 
 def _check_values(values, items, n_values: int, name: str) -> None:
-    # min and max run in C; the first bad (key, value) item is looked for
-    # only on failure
-    if values and not (0 <= min(values) and max(values) < n_values):
-        for key, t in items:
-            if not 0 <= t < n_values:
-                raise StructureError(f"{name}[{key}]={t} out of range")
+    # ``items`` holds the (key, value) pairs in the order of ``values``
+    bad = first_outside(values, n_values)
+    if bad is not None:
+        key, t = next(islice(items, bad, None))
+        raise StructureError(f"{name}[{key}]={t} out of range")
+
+
+def fibers_of(f, n: int) -> list[list[int]]:
+    """``out[y]``: the ascending ``b`` with ``f[b] == y``, for the sequence
+    ``f`` of a map into ``range(n)``, such as a projection or a base map."""
+    out = [[] for _ in range(n)]
+    for b, y in enumerate(f):
+        out[y].append(b)
+    return out
 
 
 def misfits(col: Collector, over_tag: str, inside_tag: str | None, p, R, rows) -> None:
@@ -341,10 +346,6 @@ def _expect_point_count(nB: int) -> None:
         raise FormatError(f'"nB" is {nB}, above the limit of {MAX_POINTS} points')
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _all_of(values, cls: type) -> bool:
     """Whether every value is a ``cls`` and none is a bool.  One subclass
     test per distinct type, so the pass over the values runs in C."""
@@ -412,7 +413,7 @@ def preorder_from_json(obj) -> tuple[FinFibrousPreorder, SpatialWitness | None]:
     :func:`validate_witness`) checks it against the carrier."""
     _expect_object(obj, ("nB", "nA", "p", "R", "d"))
     nB, nA = obj["nB"], obj["nA"]
-    if not (_is_int(nB) and _is_int(nA)):
+    if not _all_of((nB, nA), int):
         raise FormatError('"nB" and "nA" must be integers')
     _expect_point_count(nB)
     p = _expect_int_list(obj, "p")

@@ -2,9 +2,9 @@
 
 ``functor_G_obj`` turns a topology into the carrier of (open set, point)
 pairs.  Its G-image is that carrier's neighborhood part, with the topology
-kept beside it, and is made from the topology alone: ``GImage(T)``, which
-``functor_G_obj`` returns.  The refinement table ``d`` is built on the first
-read of ``gi.X``, and the spatial witness on the first read of ``gi.w``.
+kept beside it, and is made from the topology alone: ``functor_G_obj`` is
+:class:`GImage`.  The refinement table ``d`` is built on the first read of
+``gi.X``, and the spatial witness on the first read of ``gi.w``.
 Neither round trip nor ``functor_G_mor`` reads them.
 ``_check_meet_table`` bounds the witness from the topology alone, so
 ``from-top`` refuses the 10- to 14-point discrete topologies before their
@@ -34,9 +34,10 @@ from .core import (
     _cover,
     built,
     check_map,
+    fibers_of,
     verify_equivalence,
 )
-from .morphisms import FibrousMorphism, inverse_image
+from .morphisms import FibrousMorphism, preimages
 from .report import AxiomReport, Collector, StructureError, violation_line
 from .topology import FiniteTopology, meet_closure, union_closure, validate_topology
 
@@ -153,12 +154,7 @@ class GImage(FinNeighborhoods):
         return SpatialWitness(s, m)
 
 
-def functor_G_obj(T: FiniteTopology) -> GImage:
-    """Build the carrier of all (open set, member point) pairs of ``T``:
-    the :class:`GImage` ``GImage(T)``, ordered by (open set as integer,
-    point).  Only the neighborhood part is built here; the refinement table
-    is :attr:`GImage.X` and the witness :attr:`GImage.w`."""
-    return GImage(T)
+functor_G_obj = GImage  # the functor's name for the G-image of a topology
 
 
 def functor_G_mor(f, gi: GImage, gip: GImage) -> FibrousMorphism:
@@ -173,7 +169,7 @@ def functor_G_mor(f, gi: GImage, gip: GImage) -> FibrousMorphism:
     f = tuple(f)
     check_map(f, T.nB, Tp.nB, "f")
     opens = set(T.opens)
-    pre = dict(zip(Tp.opens, inverse_image(f, Tp.nB, Tp.opens)[1]))
+    pre = dict(zip(Tp.opens, preimages(fibers_of(f, Tp.nB), Tp.opens)))
     for up, u in pre.items():
         if u not in opens:
             raise NotContinuousError(to_points(up))
@@ -280,9 +276,7 @@ def random_spatial_preorder(
         rng.shuffle(elems)
         p = tuple(x for _, x in elems)
         R = tuple(u for u, _ in elems)
-        fibers = [[] for _ in range(nB)]
-        for i, x in enumerate(p):
-            fibers[x].append(i)
+        fibers = fibers_of(p, nB)
 
         def pick(x, S):
             return rng.choice([t for t in fibers[x] if is_subset(R[t], S)])

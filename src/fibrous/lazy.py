@@ -273,10 +273,8 @@ def _in_max_ball(n, x, y) -> bool:
     """Whether ``n * |x_i - y_i| < 1`` on every coordinate of two rational
     vectors, that is ``_max_distance(x, y) < 1/n``; stops at the first
     coordinate that fails."""
-    for xi, yi in zip(x, y):
-        xn, xd = xi.as_integer_ratio()
-        yn, yd = yi.as_integer_ratio()
-        if abs(xn * yd - yn * xd) * n >= xd * yd:
+    for num, den in map(_q_distance, x, y):
+        if num * n >= den:
             return False
     return True
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitsets import bits
-from .core import FinFibrousPreorder, check_map, check_table, misfits, table_rows
+from .core import FinFibrousPreorder, check_map, check_table, fibers_of, misfits, table_rows
 from .core import _expect_int_list, _expect_object, _expect_table
 from .report import AxiomReport, Collector, StructureError
 
@@ -51,31 +51,29 @@ def verify_morphism(
     M2: the lifting's neighborhood maps into the target neighborhood.
 
     One :func:`~fibrous.core.misfits` pass checks both, M2 as "inside the
-    preimage of the target neighborhood", read off one :func:`inverse_image`
-    of ``f`` that also gives the fiber product's rows.  A base map that is
-    not total or a lifting table whose domain is not exactly the fiber
-    product raises :class:`StructureError`; ``owner`` (such as :data:`FIRST`)
-    goes before ``f`` and ``fstar`` in its message.
+    preimage of the target neighborhood"; the fibers of ``f`` give the fiber
+    product's rows and the :func:`preimages`.  A base map that is not total
+    or a lifting table whose domain is not exactly the fiber product raises
+    :class:`StructureError`; ``owner`` (such as :data:`FIRST`) goes before
+    ``f`` and ``fstar`` in its message.
     """
     check_map(m.f, X.nB, Xp.nB, owner + "f")
-    over, pre = inverse_image(m.f, Xp.nB, Xp.R)
+    over = fibers_of(m.f, Xp.nB)
     rows = tuple(map(over.__getitem__, Xp.p))
     check_table(m.fstar, rows, X.nA, owner + "fstar", "the fiber product")
+    pre = preimages(over, Xp.R)
     col = Collector(verbose)
     lifts = (((a2, b), t, b, pre[a2]) for (a2, b), t in m.fstar.items())
     misfits(col, "M1", "M2", X.p, X.R, lifts)
     return col.report()
 
 
-def inverse_image(f, n: int, masks) -> tuple[list[list[int]], list[int]]:
-    """``(over, pre)`` for a map ``f`` into ``range(n)``: ``over[y]`` lists
-    the points ``b`` with ``f[b] == y``, ascending, and ``pre[i]`` is the
-    preimage of the point set ``masks[i]``."""
-    over = [[] for _ in range(n)]
-    for b, y in enumerate(f):
-        over[y].append(b)
+def preimages(over, masks) -> list[int]:
+    """``pre[i]``: the preimage of the point set ``masks[i]`` under the map
+    whose fibers (from :func:`~fibrous.core.fibers_of`) are ``over``, summed
+    from one bitset per fiber."""
     point = [sum(map((1).__lshift__, pts)) for pts in over]
-    return over, [sum(map(point.__getitem__, bits(u))) for u in masks]
+    return [sum(map(point.__getitem__, bits(u))) for u in masks]
 
 
 def identity_morphism(X: FinFibrousPreorder) -> FibrousMorphism:

@@ -28,7 +28,7 @@ from operator import and_, attrgetter, itemgetter, not_, or_
 from typing import Callable
 
 from .bitsets import bits, first_outside, full_mask, is_subset, to_points
-from .core import _expect_object, _expect_point_count, _expect_point_lists, _is_int, built
+from .core import _all_of, _expect_object, _expect_point_count, _expect_point_lists, built
 from .report import AxiomReport, Collector, FormatError
 
 # Number of distinct topologies on 0..6 labelled points (OEIS A000798); the
@@ -56,7 +56,7 @@ class FiniteTopology:
     def __post_init__(self):
         if self.nB < 0:
             raise ValueError("point count must be non-negative")
-        bad = first_outside(self.opens, self.nB)
+        bad = first_outside(self.opens, 1 << self.nB)
         if bad is not None:
             raise ValueError(f"open set {self.opens[bad]:#b} has bits outside the base set")
         object.__setattr__(self, "opens", tuple(sorted(set(self.opens))))
@@ -242,7 +242,7 @@ def topology_to_json(T: FiniteTopology, points: Callable[[int], list[int]] = to_
 def topology_from_json(obj) -> FiniteTopology:
     _expect_object(obj, ("nB", "opens"))
     nB = obj["nB"]
-    if not _is_int(nB):
+    if not _all_of((nB,), int):
         raise FormatError('"nB" must be an integer')
     _expect_point_count(nB)
     return FiniteTopology(nB, _expect_point_lists(obj, "opens", nB))

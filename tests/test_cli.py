@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import pytest
@@ -787,6 +788,50 @@ def test_deeply_nested_json_exits_two(from_stdin, tmp_path, monkeypatch, capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {path}: JSON nested too deeply\n"
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_input_names_the_path(kind, tmp_path, capsys):
+    import errno
+    import os
+
+    path = tmp_path / "nothing.json"
+    code = errno.ENOENT
+    if kind == "directory":
+        path.mkdir()
+        code = errno.EISDIR
+    assert main(["check", str(path)]) == 2
+    reason = f"[Errno {code}] {os.strerror(code)}: {str(path)!r}"
+    assert capsys.readouterr() == ("", f"error: cannot read {path}: {reason}\n")
+
+
+def test_non_utf8_file_names_the_file(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff{}")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: not UTF-8 at byte 0: invalid start byte\n")
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter has no limit on integer string conversion",
+)
+@pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])
+def test_overlong_integer_names_the_input(from_stdin, tmp_path, monkeypatch, capsys):
+    import io
+
+    digits = sys.get_int_max_str_digits() + 1
+    text = '{"nB": ' + "9" * digits + "}"
+    if from_stdin:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        path = "-"
+    else:
+        path = tmp_path / "long.json"
+        path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: Exceeds the limit ({digits - 1} digits)")
 
 
 def test_schema_error_exits_two(tmp_path, capsys):
